@@ -1,24 +1,8 @@
 //! The `CON_c` connector composition function (paper Table 1) and the
 //! caution sets of Section 4.1.
 
-use super::agg::{better, rank};
+use super::agg::better;
 use super::connector::{Base, Connector};
-
-/// Whether every possible continuation of a `b`-labelled path is at least as
-/// strong (connector-rank-wise) as the same continuation of an `l`-labelled
-/// path: `∀c ∈ Σ: rank(CON_c(b, c)) ≤ rank(CON_c(l, c))`.
-///
-/// This is the connector-level premise of the *Safe* pruning mode in
-/// `ipe-core`: a path labelled `l` into a node may only be pruned against a
-/// stored label `b` when this holds (and a semantic-length margin covers
-/// junction effects). Note that plain rank domination is **not** enough:
-/// `rank(.) < rank(.SB)`, yet continuing with `<$` gives
-/// `CON(., <$) = ..` (rank 4) versus `CON(.SB, <$) = .SB` (rank 3) — the
-/// order inverts. This is the same phenomenon the paper's caution sets
-/// guard against.
-pub fn future_rank_dominates_weakly(b: Connector, l: Connector) -> bool {
-    Connector::all().all(|c| rank(compose(b, c)) <= rank(compose(l, c)))
-}
 
 /// Composes the base parts of two connectors, returning the base of the
 /// result together with a flag saying whether the composition itself
@@ -249,9 +233,8 @@ mod tests {
     }
 
     /// Rank domination does NOT survive right-composition in general — the
-    /// counterexample that motivates caution sets and the Safe pruning
-    /// conditions: `.` outranks `.SB`, but after composing with `<$` the
-    /// order inverts.
+    /// counterexample that motivates caution sets: `.` outranks `.SB`, but
+    /// after composing with `<$` the order inverts.
     #[test]
     fn rank_order_inverts_under_composition() {
         let assoc = c(Base::Assoc);
@@ -259,21 +242,6 @@ mod tests {
         assert!(rk(assoc) < rk(sb));
         let inv = c(Base::IsPartOf);
         assert!(rk(compose(assoc, inv)) > rk(compose(sb, inv)));
-        assert!(!future_rank_dominates_weakly(assoc, sb));
-    }
-
-    /// `future_rank_dominates_weakly` implies plain rank domination (take
-    /// the identity continuation `@>`), and holds reflexively.
-    #[test]
-    fn future_domination_basics() {
-        for b in Connector::all() {
-            assert!(future_rank_dominates_weakly(b, b));
-            for l in Connector::all() {
-                if future_rank_dominates_weakly(b, l) {
-                    assert!(rk(b) <= rk(l), "b={b} l={l}");
-                }
-            }
-        }
     }
 
     /// The caution set of `$>` contains `<@`: a May-Be path into a node must

@@ -25,6 +25,6 @@ mod label;
 
 pub use agg::{agg_star, agg_star_into, better, dominates, incomparable, rank, survives_agg_star};
 pub use algebra::MooseAlgebra;
-pub use con::{caution_connectors, compose, future_rank_dominates_weakly, in_caution_set};
+pub use con::{caution_connectors, compose, in_caution_set};
 pub use connector::{Base, Connector, RelKind};
 pub use label::{junction_adjust, semantic_length_of_kinds, Label};

@@ -8,10 +8,7 @@ use crate::observe;
 use crate::path::Completion;
 use crate::preempt::apply_inheritance_criterion;
 use crate::resolve::{resolve_ast, RStep};
-use ipe_algebra::moose::{
-    agg_star, agg_star_into, future_rank_dominates_weakly, in_caution_set, rank, survives_agg_star,
-    Label,
-};
+use ipe_algebra::moose::{agg_star, agg_star_into, in_caution_set, rank, survives_agg_star, Label};
 use ipe_index::{GoalTable, SearchIndex};
 use ipe_obs::{EventKind, SearchTrace};
 use ipe_parser::PathExprAst;
@@ -433,6 +430,7 @@ pub(crate) struct SegmentSearch<'c, 's> {
     /// general-case driver, where global optimality cannot be decided
     /// segment-locally).
     record_all: bool,
+    /// `best[u]` of Algorithm 2, maintained only by the Paper modes.
     best: Vec<Vec<Label>>,
     best_t: Vec<Label>,
     pub(crate) found: Vec<Completion>,
@@ -641,7 +639,9 @@ impl<'c, 's> SegmentSearch<'c, 's> {
             if !self.should_explore(&l_u, u, path.len()) {
                 continue;
             }
-            agg_star_into(&mut self.best[u.index()], &l_u, cfg.e);
+            if matches!(cfg.pruning, Pruning::Paper | Pruning::PaperNoCaution) {
+                agg_star_into(&mut self.best[u.index()], &l_u, cfg.e);
+            }
             path.push(rid);
             let r = self.traverse(u, l_u, on_path, path);
             path.pop();
@@ -717,19 +717,10 @@ impl<'c, 's> SegmentSearch<'c, 's> {
                         .record(observe::ev(EventKind::CutBestT, u, l_u, depth));
                     return false;
                 }
-                // Against best[u]: a stored label blocks l_u only when all
-                // of its futures dominate l_u's futures rank-wise and the
-                // margin 3 covers the ±1 junction effects on both sides.
-                if blocked(&self.best[u.index()], cfg.e, |b| {
-                    future_rank_dominates_weakly(b.connector, l_u.connector)
-                        && b.semlen + 3 <= l_u.semlen
-                }) {
-                    self.stats.pruned_best_u += 1;
-                    ipe_obs::counter!("core.search.pruned_best_u", 1);
-                    self.trace
-                        .record(observe::ev(EventKind::CutBestU, u, l_u, depth));
-                    return false;
-                }
+                // No cut against best[u]: on simple paths the label stored
+                // at u may come from a path that already visits a class
+                // l_u's best suffix needs, so whether it blocks depends on
+                // the order successors are visited in.
                 true
             }
         }

@@ -12,7 +12,7 @@ use ipe_core::{exhaustive, Completer, CompletionConfig, Pruning};
 use ipe_gen::{generate_schema, generate_workload, GenConfig, WorkloadConfig};
 use ipe_index::{IndexMode, IndexedSchema, SearchIndex};
 use ipe_parser::parse_path_expression;
-use ipe_schema::{fixtures, Schema};
+use ipe_schema::{fixtures, RelKind, Schema, SchemaDoc};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -290,5 +290,53 @@ proptest! {
                 "seed={} {}", seed, q.expr
             );
         }
+    }
+}
+
+/// A schema on which Safe pruning's old `best[u]` cut lost answers under
+/// the index's best-bound-first successor order: an 8-class generated
+/// schema plus one extra association `c5 → c1`. Indexed search answered
+/// `c1~c5` at `E = 1` with no completions where the oracle finds 16.
+#[test]
+fn safe_search_is_order_independent_on_churn_schema() {
+    let gen = generate_schema(&GenConfig {
+        classes: 8,
+        hub_degree: 6,
+        seed: 8097398108759002633,
+        ..GenConfig::default()
+    });
+    let mut doc = SchemaDoc::from_schema(&gen.schema);
+    let mut link = doc.rels[0].clone();
+    link.source = "c5".to_owned();
+    link.target = "c1".to_owned();
+    link.kind = RelKind::Assoc;
+    link.name = "churn_link".to_owned();
+    link.inverse_name = Some("churn_link_of".to_owned());
+    doc.rels.push(link);
+    let schema = Schema::from_json(&serde_json::to_string(&doc).unwrap()).unwrap();
+    let index: SearchIndex = Arc::new(IndexedSchema::build(&schema, IndexMode::On));
+    let root = schema.class_named("c1").unwrap();
+    for e in 1..=3 {
+        let cfg = CompletionConfig {
+            e,
+            ..Default::default()
+        };
+        assert_eq!(cfg.pruning, Pruning::Safe);
+        let plain = Completer::with_config(&schema, cfg.clone());
+        let mut indexed = Completer::with_config(&schema, cfg.clone());
+        assert!(indexed.attach_index(Arc::clone(&index)));
+        let oracle = exhaustive::optimal_via_enumeration(&schema, root, "c5", &cfg).unwrap();
+        let want: Vec<String> = oracle
+            .completions
+            .iter()
+            .map(|c| c.display(&schema).to_string())
+            .collect();
+        assert!(!want.is_empty(), "e={e}");
+        assert_eq!(
+            displays(&schema, &plain, "c1~c5"),
+            Ok(want.clone()),
+            "e={e}"
+        );
+        assert_eq!(displays(&schema, &indexed, "c1~c5"), Ok(want), "e={e}");
     }
 }

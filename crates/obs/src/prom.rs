@@ -11,30 +11,43 @@
 //! with `quantile="0.5"|"0.95"|"0.99"` samples derived from the log2
 //! histogram (the quantile is reported as the upper bound of the bucket
 //! where the cumulative count crosses the rank, i.e. within 2x of the
-//! true value). Callers append service-level gauges via [`Gauge`].
+//! true value). Callers append service-level gauges via [`Gauge`], which
+//! may carry labels; samples of one gauge family render together under a
+//! single `# HELP`/`# TYPE` pair.
 
 use crate::metrics::{snapshot_counters, snapshot_timers, TimerSnapshot};
 use std::fmt::Write as _;
 
-/// One service-level gauge supplied by the caller (e.g. cache bytes).
+/// One service-level gauge sample supplied by the caller (e.g. cache
+/// bytes). Samples sharing a name form one family; they differ by labels.
 #[derive(Clone, Debug)]
 pub struct Gauge {
     /// Dotted metric name (mangled like counter/timer names).
     pub name: String,
-    /// HELP text.
+    /// HELP text of the family (the first sample's text is used).
     pub help: String,
+    /// Label pairs, e.g. `("tenant", "acme")`. Names must match
+    /// `[a-zA-Z_][a-zA-Z0-9_]*`; values are escaped on render.
+    pub labels: Vec<(String, String)>,
     /// Current value.
     pub value: f64,
 }
 
 impl Gauge {
-    /// Convenience constructor.
+    /// An unlabelled gauge.
     pub fn new(name: impl Into<String>, help: impl Into<String>, value: f64) -> Gauge {
         Gauge {
             name: name.into(),
             help: help.into(),
+            labels: Vec::new(),
             value,
         }
+    }
+
+    /// Adds one label pair.
+    pub fn label(mut self, name: impl Into<String>, value: impl Into<String>) -> Gauge {
+        self.labels.push((name.into(), value.into()));
+        self
     }
 }
 
@@ -127,15 +140,53 @@ pub fn render(gauges: &[Gauge]) -> String {
             );
         }
     }
+    // Group samples by family, in order of first appearance: the format
+    // wants one HELP/TYPE per family and a family's samples together.
+    let mut families: Vec<(String, Vec<&Gauge>)> = Vec::new();
     for g in gauges {
         let fam = mangle(&g.name);
-        let _ = writeln!(out, "# HELP {fam} {}", g.help);
+        match families.iter_mut().find(|(f, _)| *f == fam) {
+            Some((_, samples)) => samples.push(g),
+            None => families.push((fam, vec![g])),
+        }
+    }
+    for (fam, samples) in families {
+        let _ = writeln!(out, "# HELP {fam} {}", samples[0].help);
         let _ = writeln!(out, "# TYPE {fam} gauge");
-        let _ = write!(out, "{fam} ");
-        push_f64(&mut out, g.value);
-        out.push('\n');
+        for g in samples {
+            out.push_str(&fam);
+            push_labels(&mut out, &g.labels);
+            out.push(' ');
+            push_f64(&mut out, g.value);
+            out.push('\n');
+        }
     }
     out
+}
+
+/// Writes `{name="value",...}` (nothing for an empty set), escaping
+/// backslash, double quote, and newline in values.
+fn push_labels(out: &mut String, labels: &[(String, String)]) {
+    if labels.is_empty() {
+        return;
+    }
+    out.push('{');
+    for (i, (name, value)) in labels.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{name}=\"");
+        for c in value.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    out.push('}');
 }
 
 fn valid_metric_name(name: &str) -> bool {
@@ -147,24 +198,70 @@ fn valid_metric_name(name: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
-/// Splits a sample line into (metric name, labels, value-as-text).
-fn split_sample(line: &str) -> Option<(&str, Option<&str>, &str)> {
-    if let Some(open) = line.find('{') {
-        let close = line.rfind('}')?;
-        let value = line.get(close + 1..)?.trim();
-        Some((&line[..open], Some(&line[open + 1..close]), value))
-    } else {
-        let (name, value) = line.split_once(' ')?;
-        Some((name, None, value.trim()))
+fn valid_label_name(name: &str) -> bool {
+    let mut chars = name.chars();
+    matches!(chars.next(), Some(c) if c.is_ascii_alphabetic() || c == '_')
+        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
+/// One parsed sample line: metric name, label pairs, value text.
+type Sample<'a> = (&'a str, Vec<(String, String)>, &'a str);
+
+/// Splits a sample line into its name, labels, and value text. A label
+/// set must be `{name="value",...}` with well-formed, distinct names and
+/// values using only the `\\`, `\"`, `\n` escapes.
+fn split_sample(line: &str) -> Result<Sample<'_>, String> {
+    let Some(open) = line.find('{') else {
+        let (name, value) = line.split_once(' ').ok_or("no value")?;
+        return Ok((name, Vec::new(), value.trim()));
+    };
+    let mut labels: Vec<(String, String)> = Vec::new();
+    let mut rest = &line[open + 1..];
+    loop {
+        if labels.is_empty() {
+            if let Some(after) = rest.strip_prefix('}') {
+                rest = after;
+                break;
+            }
+        }
+        let (name, after) = rest.split_once("=\"").ok_or("label without =\"")?;
+        if !valid_label_name(name) {
+            return Err(format!("bad label name `{name}`"));
+        }
+        if labels.iter().any(|(n, _)| n == name) {
+            return Err(format!("repeated label `{name}`"));
+        }
+        let mut value = String::new();
+        let mut chars = after.char_indices();
+        let end = loop {
+            match chars.next().ok_or("unterminated label value")? {
+                (i, '"') => break i,
+                (_, '\\') => match chars.next().map(|(_, c)| c) {
+                    Some('\\') => value.push('\\'),
+                    Some('"') => value.push('"'),
+                    Some('n') => value.push('\n'),
+                    _ => return Err("bad escape in label value".to_owned()),
+                },
+                (_, c) => value.push(c),
+            }
+        };
+        labels.push((name.to_owned(), value));
+        rest = &after[end + 1..];
+        if let Some(after) = rest.strip_prefix('}') {
+            rest = after;
+            break;
+        }
+        rest = rest.strip_prefix(',').ok_or("labels not separated by ,")?;
     }
+    Ok((&line[..open], labels, rest.trim()))
 }
 
 /// Structural lint of a 0.0.4 exposition. Checks that every sample
-/// belongs to a family with both `# HELP` and `# TYPE` lines, that
-/// metric names are well-formed, that histogram buckets are cumulative
-/// (monotone nondecreasing in `le` order) and end with `le="+Inf"` equal
-/// to the family's `_count`, and that every sample value parses as a
-/// number. Returns the list of violations (empty = clean).
+/// belongs to a family with exactly one `# HELP` and one `# TYPE` line,
+/// that metric names and label sets are well-formed, that histogram
+/// buckets are cumulative (monotone nondecreasing in `le` order) and end
+/// with `le="+Inf"` equal to the family's `_count`, and that every sample
+/// value parses as a number. Returns the list of violations (empty = clean).
 pub fn lint(text: &str) -> Result<(), Vec<String>> {
     use std::collections::{BTreeMap, HashMap, HashSet};
     let mut errors: Vec<String> = Vec::new();
@@ -176,11 +273,18 @@ pub fn lint(text: &str) -> Result<(), Vec<String>> {
         };
         if let Some(spec) = rest.strip_prefix("HELP ") {
             if let Some((name, _)) = spec.split_once(' ') {
-                help.insert(name.to_owned());
+                if !help.insert(name.to_owned()) {
+                    errors.push(format!("`{name}` has a repeated # HELP"));
+                }
             }
         } else if let Some(spec) = rest.strip_prefix("TYPE ") {
             if let Some((name, ty)) = spec.split_once(' ') {
-                types.insert(name.to_owned(), ty.trim().to_owned());
+                if types
+                    .insert(name.to_owned(), ty.trim().to_owned())
+                    .is_some()
+                {
+                    errors.push(format!("`{name}` has a repeated # TYPE"));
+                }
             }
         }
     }
@@ -192,9 +296,12 @@ pub fn lint(text: &str) -> Result<(), Vec<String>> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let Some((name, labels, value)) = split_sample(line) else {
-            errors.push(format!("line {lineno}: unparseable sample: {line}"));
-            continue;
+        let (name, labels, value) = match split_sample(line) {
+            Ok(sample) => sample,
+            Err(why) => {
+                errors.push(format!("line {lineno}: {why}: {line}"));
+                continue;
+            }
         };
         if !valid_metric_name(name) {
             errors.push(format!("line {lineno}: bad metric name `{name}`"));
@@ -221,20 +328,14 @@ pub fn lint(text: &str) -> Result<(), Vec<String>> {
         };
         if ty == "histogram" {
             if name.ends_with("_bucket") {
-                let Some(le) = labels.and_then(|l| {
-                    l.split(',').find_map(|kv| {
-                        kv.trim()
-                            .strip_prefix("le=\"")
-                            .and_then(|v| v.strip_suffix('"'))
-                    })
-                }) else {
+                let Some((_, le)) = labels.into_iter().find(|(n, _)| n == "le") else {
                     errors.push(format!("line {lineno}: histogram bucket without le label"));
                     continue;
                 };
                 buckets
                     .entry(family.to_owned())
                     .or_default()
-                    .push((le.to_owned(), value));
+                    .push((le, value));
             } else if name.ends_with("_count") {
                 counts.insert(family.to_owned(), value);
             }
@@ -350,5 +451,61 @@ mod tests {
         // Clean minimal exposition.
         let text = "# HELP ok x\n# TYPE ok counter\nok 1\n";
         assert!(lint(text).is_ok());
+        // Repeated HELP / TYPE for one family.
+        let text = "# HELP g x\n# TYPE g gauge\n# HELP g x\ng 1\n";
+        let errs = lint(text).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.contains("repeated # HELP")),
+            "{errs:?}"
+        );
+        let text = "# HELP g x\n# TYPE g gauge\n# TYPE g gauge\ng 1\n";
+        let errs = lint(text).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.contains("repeated # TYPE")),
+            "{errs:?}"
+        );
+        // Malformed label sets.
+        for bad in [
+            "g{t=\"a\"",
+            "g{t=a} 1",
+            "g{1t=\"a\"} 1",
+            "g{t=\"a\",t=\"b\"} 1",
+            "g{t=\"a\" u=\"b\"} 1",
+            "g{t=\"a\",} 1",
+            "g{t=\"a\\x\"} 1",
+        ] {
+            let text = format!("# HELP g x\n# TYPE g gauge\n{bad}\n");
+            assert!(lint(&text).is_err(), "{bad}");
+        }
+        let text = "# HELP g x\n# TYPE g gauge\ng{} 1\ng{t=\"a,}\\\"\",u=\"\"} 2\n";
+        assert_eq!(lint(text), Ok(()));
+    }
+
+    #[test]
+    fn labelled_gauges_share_one_family_header() {
+        let text = render(&[
+            Gauge::new("test.labelled", "Per-tenant value.", 1.0).label("tenant", "a"),
+            Gauge::new("test.other", "Other.", 3.0),
+            Gauge::new("test.labelled", "Per-tenant value.", 2.0).label("tenant", "b\"\\\n"),
+        ]);
+        assert_eq!(
+            text.matches("# HELP ipe_test_labelled ").count(),
+            1,
+            "{text}"
+        );
+        assert_eq!(
+            text.matches("# TYPE ipe_test_labelled ").count(),
+            1,
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "ipe_test_labelled{tenant=\"a\"} 1\nipe_test_labelled{tenant=\"b\\\"\\\\\\n\"} 2\n"
+            ),
+            "{text}"
+        );
+        if let Err(errs) = lint(&text) {
+            panic!("lint failed: {errs:?}\n{text}");
+        }
     }
 }

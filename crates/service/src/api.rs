@@ -37,11 +37,7 @@ pub struct CompleteRequest {
 impl CompleteRequest {
     /// The registry name to use, applying the `"default"` fallback.
     pub fn schema_name(&self) -> &str {
-        if self.schema.is_empty() {
-            "default"
-        } else {
-            &self.schema
-        }
+        schema_or_default(&self.schema)
     }
 
     /// Builds the engine configuration, resolving class names against
@@ -54,6 +50,15 @@ impl CompleteRequest {
             self.prefer_specific,
             schema,
         )
+    }
+}
+
+/// A request's `schema` field, with `""` meaning `"default"`.
+fn schema_or_default(schema: &str) -> &str {
+    if schema.is_empty() {
+        "default"
+    } else {
+        schema
     }
 }
 
@@ -133,11 +138,7 @@ pub struct BatchCompleteRequest {
 impl BatchCompleteRequest {
     /// The registry name to use, applying the `"default"` fallback.
     pub fn schema_name(&self) -> &str {
-        if self.schema.is_empty() {
-            "default"
-        } else {
-            &self.schema
-        }
+        schema_or_default(&self.schema)
     }
 
     /// Builds the engine configuration shared by every item in the batch.
@@ -356,11 +357,7 @@ pub struct QueryRequest {
 impl QueryRequest {
     /// The registry name to use, applying the `"default"` fallback.
     pub fn schema_name(&self) -> &str {
-        if self.schema.is_empty() {
-            "default"
-        } else {
-            &self.schema
-        }
+        schema_or_default(&self.schema)
     }
 
     /// Builds the engine configuration, resolving class names against

@@ -45,6 +45,7 @@ pub mod http;
 pub(crate) mod reactor;
 pub mod registry;
 pub mod repl;
+pub(crate) mod route;
 pub mod server;
 
 pub use api::{

@@ -78,6 +78,17 @@ impl SchemaEntry {
         }
         self.index.set(index).is_ok()
     }
+
+    /// The entry's summary row, under its registry name.
+    pub(crate) fn info(&self) -> SchemaInfo {
+        SchemaInfo {
+            name: self.name.clone(),
+            id: self.id,
+            generation: self.generation,
+            classes: self.schema.class_count() as u64,
+            relationships: self.schema.rel_count() as u64,
+        }
+    }
 }
 
 /// Summary row for `GET /v1/schemas`.
@@ -161,16 +172,7 @@ impl SchemaRegistry {
     /// Summaries of every registered schema, sorted by name.
     pub fn list(&self) -> Vec<SchemaInfo> {
         let map = read_recover(&self.inner);
-        let mut out: Vec<SchemaInfo> = map
-            .values()
-            .map(|e| SchemaInfo {
-                name: e.name.clone(),
-                id: e.id,
-                generation: e.generation,
-                classes: e.schema.class_count() as u64,
-                relationships: e.schema.rel_count() as u64,
-            })
-            .collect();
+        let mut out: Vec<SchemaInfo> = map.values().map(|e| e.info()).collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
     }

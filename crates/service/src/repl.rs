@@ -22,8 +22,8 @@
 use crate::server::{lock_recover, spawn_index_build, ServiceState};
 use ipe_repl::{Backoff, ClientError, ReplClient, ReplEvent, SubEvent, REPL_MAGIC};
 use ipe_schema::Schema;
-use ipe_store::{remove_sidecar, Snapshot, WalOp, WalRecord};
-use ipe_tenant::{scoped_name, split_scoped};
+use ipe_store::{Snapshot, WalOp, WalRecord};
+use ipe_tenant::scoped_name;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -432,7 +432,7 @@ fn install_snapshot(
             .iter()
             .any(|s| scoped_name(&s.tenant, &s.name) == info.name);
         if !still_live {
-            drop_schema_locally(state, &info.name);
+            state.drop_schema(&info.name);
         }
     }
     state.registry.reserve_ids(snap.max_id);
@@ -481,7 +481,9 @@ fn apply_record(
             state.caches.purge_schema(tenant, entry.id);
             spawn_index_build(state, entry);
         }
-        WalOp::Delete { tenant, name } => drop_schema_locally(state, &scoped_name(tenant, name)),
+        WalOp::Delete { tenant, name } => {
+            state.drop_schema(&scoped_name(tenant, name));
+        }
     }
     status.note_applied(record.seq);
     Ok(())
@@ -496,19 +498,4 @@ fn ensure_tenant(state: &Arc<ServiceState>, tenant: &str) {
             .tenants
             .put(tenant, ipe_tenant::TenantConfig::default());
     }
-}
-
-/// Removes every local trace of a schema the leader deleted: registry
-/// entry, cached completions, loaded data, and the index sidecar. Takes
-/// the scoped (`tenant/name`) registry key.
-fn drop_schema_locally(state: &Arc<ServiceState>, key: &str) {
-    if let Some(entry) = state.registry.remove(key) {
-        state
-            .caches
-            .purge_schema(split_scoped(&entry.name).0, entry.id);
-        if let Some(dir) = &state.data_dir {
-            let _ = remove_sidecar(dir, entry.id);
-        }
-    }
-    state.data.remove(key);
 }

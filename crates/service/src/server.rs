@@ -15,38 +15,41 @@
 //! way down is re-entered by taking the inner value (safe here because
 //! the WAL protocol is append-consistent — a torn logical update is
 //! impossible, the lock only orders appends).
+//!
+//! This module holds the configuration, the shared [`ServiceState`], and
+//! the server lifecycle. Requests are parsed into a
+//! [`Route`](crate::route::Route) and run by `dispatch` (tracing, timing,
+//! admission), which hands them to one module per resource: `complete`
+//! (the search routes), `schemas` (schemas and data), `tenants`, and
+//! `ops` (probes, replication, metrics, debug).
 
-use crate::api::{
-    error_body, AnswerView, BatchCompleteRequest, BatchCompleteResponse, BatchItemView,
-    CompleteRequest, CompleteResponse, CompletionView, DataDeleteResponse, DataPutRequest,
-    DataPutResponse, QueryRequest, QueryResponse, SchemaDeleteResponse, SchemaPutResponse,
-};
+mod complete;
+mod dispatch;
+mod ops;
+mod schemas;
+mod tenants;
+
+pub(crate) use dispatch::{handle_request_catching, Reply};
+pub use ops::{metrics_json, metrics_prometheus};
+
 use crate::cache::{config_fingerprint, entry_weight, CacheKey, CachePartitions};
 use crate::data::DataRegistry;
 use crate::epoll::Wake;
-use crate::http::Request;
 use crate::reactor::{reactor_loop, ReactorConfig};
 use crate::registry::SchemaRegistry;
-use crate::repl::{FollowerStatus, StreamStart};
-use ipe_core::{
-    complete_batch, BatchOptions, CompleteError, Completer, CompletionConfig, SearchLimits,
-    SearchOutcome, SearchStats,
-};
+use crate::repl::FollowerStatus;
+use complete::MAX_BATCH_THREADS;
+use ipe_core::{complete_batch, BatchOptions, Completer, CompletionConfig};
 use ipe_index::{IndexMode, IndexedSchema};
-use ipe_obs::{CompletedRequest, FlightConfig, FlightRecorder, RequestTrace, SpanHandle};
-use ipe_oodb::EvalLimits;
-use ipe_parser::{parse_path_expression, PathExprAst};
-use ipe_query::{evaluate_completions, Answer, QueryError};
+use ipe_obs::{FlightConfig, FlightRecorder, SpanHandle};
+use ipe_parser::parse_path_expression;
 use ipe_repl::ReplHub;
 use ipe_schema::Schema;
 use ipe_store::{
     read_sidecar, read_warmup, remove_sidecar, sidecar_path, write_sidecar, write_warmup,
     FsyncPolicy, Store, StoreConfig, WalOp, WalRecord, WarmupEntry,
 };
-use ipe_tenant::{
-    scoped_name, split_scoped, Admission, Tenant, TenantConfig, TenantError, TenantRegistry,
-    DEFAULT_TENANT,
-};
+use ipe_tenant::{scoped_name, split_scoped, TenantConfig, TenantRegistry, DEFAULT_TENANT};
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -54,7 +57,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Locks a mutex, recovering from poisoning by taking the inner value.
 ///
@@ -263,17 +266,6 @@ impl WarmupTracker {
         entries
     }
 }
-
-/// Hard cap on `queries` per batch request; more is a `400`.
-const MAX_BATCH_ITEMS: usize = 256;
-/// Per-item deadline applied when a batch request does not set one.
-const DEFAULT_BATCH_DEADLINE_MS: u64 = 2_000;
-/// Upper bound on a requested per-item deadline.
-const MAX_BATCH_DEADLINE_MS: u64 = 60_000;
-/// Upper bound on a requested batch thread count.
-const MAX_BATCH_THREADS: u64 = 16;
-/// Upper bound on a requested query deadline.
-const MAX_QUERY_DEADLINE_MS: u64 = 60_000;
 
 /// Shared state of a running server: registry, cache, and gauges.
 pub struct ServiceState {
@@ -504,6 +496,22 @@ impl ServiceState {
         Ok(entry)
     }
 
+    /// Removes the schema under registry key `key` and every local trace
+    /// of it: cached completions, the loaded data instance (it was
+    /// validated against this schema's generations, and leaving it behind
+    /// would serve a later same-name schema from a stale instance), and
+    /// the index sidecar (the id is never reissued). Returns the removed
+    /// entry, the purged cache entries, and whether data was loaded.
+    pub(crate) fn drop_schema(&self, key: &str) -> Option<(Arc<crate::SchemaEntry>, u64, bool)> {
+        let entry = self.registry.remove(key)?;
+        let purged = self.caches.purge_schema(split_scoped(key).0, entry.id);
+        let purged_data = self.data.remove(key).is_some();
+        if let Some(dir) = &self.data_dir {
+            let _ = remove_sidecar(dir, entry.id);
+        }
+        Some((entry, purged, purged_data))
+    }
+
     /// Path of the tenant-config sidecar inside the data directory.
     fn tenants_path(&self) -> Option<PathBuf> {
         self.data_dir.as_ref().map(|dir| dir.join(TENANTS_FILE))
@@ -588,107 +596,6 @@ impl ServiceState {
             wake.wake();
         }
     }
-
-    /// Gauges for `/metrics`.
-    fn metrics_view(&self) -> ServiceMetrics {
-        ServiceMetrics {
-            cache: self.caches.stats(),
-            tenants: self.tenant_metrics(),
-            queue_depth: self.live_conns.load(Ordering::Relaxed),
-            requests_total: self.requests_total.load(Ordering::Relaxed),
-            rejected_total: self.rejected_total.load(Ordering::Relaxed),
-            workers: self.workers.load(Ordering::Relaxed),
-            schemas: self.registry.list().len() as u64,
-            data_sets: self.data.len() as u64,
-            durable: self.store.is_some(),
-            wal_last_seq: self
-                .store
-                .as_ref()
-                .map(|s| lock_recover(s, "store").last_seq())
-                .unwrap_or(0),
-            index: IndexMetrics {
-                mode: self.index_mode.as_str().to_owned(),
-                builds_completed: self.index_builds_completed.load(Ordering::SeqCst),
-                builds_in_flight: self.index_builds_in_flight.load(Ordering::SeqCst),
-                sidecar_loads: self.index_sidecar_loads.load(Ordering::SeqCst),
-                completes_indexed: self.completes_indexed.load(Ordering::Relaxed),
-                completes_unindexed: self.completes_unindexed.load(Ordering::Relaxed),
-            },
-            repl: self.repl_metrics(),
-        }
-    }
-
-    /// Per-tenant rows for `/metrics`: admission counters, in-flight
-    /// searches, and the tenant's cache-partition footprint.
-    fn tenant_metrics(&self) -> Vec<TenantMetricsRow> {
-        self.tenants
-            .list()
-            .iter()
-            .map(|t| {
-                let partition = self.caches.partition(t.name());
-                let counters = t.counters();
-                TenantMetricsRow {
-                    tenant: t.name().to_owned(),
-                    in_flight: u64::from(t.in_flight()),
-                    admitted: counters.admitted,
-                    throttled: counters.throttled,
-                    busy: counters.busy,
-                    searches: counters.searches,
-                    cache: partition.stats(),
-                    cache_budget_bytes: partition.byte_budget(),
-                }
-            })
-            .collect()
-    }
-
-    /// The `service.repl` gauge section, shared by `/metrics` and
-    /// `/v1/repl/status`.
-    fn repl_metrics(&self) -> ReplMetrics {
-        match (&self.follower, &self.repl_hub) {
-            (Some(f), _) => ReplMetrics {
-                role: "follower".to_owned(),
-                leader: Some(f.leader.clone()),
-                leader_seq: f.leader_seq(),
-                applied_seq: f.applied_seq(),
-                lag_seq: f.lag_seq(),
-                lag_ms: f.lag_ms(),
-                connected: f.connected(),
-                ready: f.is_ready(),
-                streams_active: 0,
-                reconnects: f.reconnects(),
-                records_applied: f.records_applied(),
-                snapshots_installed: f.snapshots_installed(),
-            },
-            (None, Some(hub)) => ReplMetrics {
-                role: "leader".to_owned(),
-                leader: None,
-                leader_seq: hub.last_seq(),
-                applied_seq: hub.last_seq(),
-                lag_seq: 0,
-                lag_ms: 0,
-                connected: true,
-                ready: !self.shutting_down(),
-                streams_active: self.repl_streams_active.load(Ordering::SeqCst),
-                reconnects: 0,
-                records_applied: 0,
-                snapshots_installed: 0,
-            },
-            (None, None) => ReplMetrics {
-                role: "none".to_owned(),
-                leader: None,
-                leader_seq: 0,
-                applied_seq: 0,
-                lag_seq: 0,
-                lag_ms: 0,
-                connected: false,
-                ready: !self.shutting_down(),
-                streams_active: 0,
-                reconnects: 0,
-                records_applied: 0,
-                snapshots_installed: 0,
-            },
-        }
-    }
 }
 
 /// Spawns a background thread that builds `entry`'s search index, installs
@@ -761,68 +668,6 @@ fn persist_index_sidecar(
     }
 }
 
-/// One tenant's row in the `service.tenants` section of `GET /metrics`.
-#[derive(Debug, serde::Serialize)]
-struct TenantMetricsRow {
-    tenant: String,
-    /// Searches in flight right now (the concurrency-cap gauge).
-    in_flight: u64,
-    admitted: u64,
-    throttled: u64,
-    busy: u64,
-    searches: u64,
-    cache: crate::cache::CacheStats,
-    cache_budget_bytes: u64,
-}
-
-/// The `service` section of `GET /metrics`.
-#[derive(Debug, serde::Serialize)]
-struct ServiceMetrics {
-    cache: crate::cache::CacheStats,
-    tenants: Vec<TenantMetricsRow>,
-    queue_depth: u64,
-    requests_total: u64,
-    rejected_total: u64,
-    workers: u64,
-    schemas: u64,
-    data_sets: u64,
-    durable: bool,
-    wal_last_seq: u64,
-    index: IndexMetrics,
-    repl: ReplMetrics,
-}
-
-/// The `service.repl` section of `GET /metrics` (also the body of
-/// `GET /v1/repl/status`).
-#[derive(Debug, serde::Serialize)]
-struct ReplMetrics {
-    /// `"none"`, `"leader"`, or `"follower"`.
-    role: String,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    leader: Option<String>,
-    leader_seq: u64,
-    applied_seq: u64,
-    lag_seq: u64,
-    lag_ms: u64,
-    connected: bool,
-    ready: bool,
-    streams_active: u64,
-    reconnects: u64,
-    records_applied: u64,
-    snapshots_installed: u64,
-}
-
-/// The `service.index` section of `GET /metrics`.
-#[derive(Debug, serde::Serialize)]
-struct IndexMetrics {
-    mode: String,
-    builds_completed: u64,
-    builds_in_flight: u64,
-    sidecar_loads: u64,
-    completes_indexed: u64,
-    completes_unindexed: u64,
-}
-
 /// A running disambiguation server. Dropping the handle does **not** stop
 /// the threads; call [`Server::shutdown`] (or hit `POST /v1/shutdown` and
 /// [`Server::join`]).
@@ -854,8 +699,8 @@ impl Server {
         for _ in 1..reactors {
             listeners.push(crate::epoll::bind_reuseport(addr)?);
         }
-        let recovered = match &config.data_dir {
-            None => None,
+        let (store, recovery) = match &config.data_dir {
+            None => (None, None),
             Some(dir) => {
                 let store_config = StoreConfig {
                     dir: dir.clone(),
@@ -864,12 +709,8 @@ impl Server {
                 };
                 let (store, recovery) =
                     Store::open(&store_config).map_err(|e| io::Error::other(e.to_string()))?;
-                Some((store, recovery))
+                (Some(store), Some(recovery))
             }
-        };
-        let (store, recovery) = match recovered {
-            Some((store, recovery)) => (Some(store), Some(recovery)),
-            None => (None, None),
         };
         let state = Arc::new(ServiceState::new(&config, store));
         // Tenant configs load before schema recovery so each recovered
@@ -1072,1354 +913,6 @@ impl Server {
     }
 }
 
-/// One routed response: status, body, and its content type (JSON for
-/// everything except the Prometheus exposition).
-pub(crate) struct Reply {
-    pub(crate) status: u16,
-    pub(crate) body: String,
-    pub(crate) content_type: &'static str,
-    /// Extra response headers (e.g. `x-ipe-leader` on follower `421`s).
-    pub(crate) headers: Vec<(&'static str, String)>,
-    /// When set, the reactor writes a bare head (no `Content-Length`,
-    /// `Connection: close`), detaches the socket from its epoll loop, and
-    /// hands it to a replication streaming thread.
-    pub(crate) stream: Option<StreamStart>,
-}
-
-impl Reply {
-    fn json(status: u16, body: String) -> Reply {
-        Reply {
-            status,
-            body,
-            content_type: "application/json",
-            headers: Vec::new(),
-            stream: None,
-        }
-    }
-
-    fn with_header(mut self, name: &'static str, value: String) -> Reply {
-        self.headers.push((name, value));
-        self
-    }
-}
-
-/// [`handle_request`] behind a panic barrier: a panicking handler is
-/// answered `500` and the poisoned locks it left behind are recovered by
-/// the next `lock_recover`, so one bad request can no longer take the
-/// server down with it. (`AssertUnwindSafe` is justified by exactly that
-/// recovery story: every lock crossing this boundary is poison-recovered
-/// and guards append-ordered or idempotent state.)
-pub(crate) fn handle_request_catching(state: &Arc<ServiceState>, req: &Request) -> (Reply, String) {
-    let caught =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle_request(state, req)));
-    match caught {
-        Ok(result) => result,
-        Err(_) => {
-            ipe_obs::counter!("service.request.panicked", 1);
-            let trace_id = match req
-                .trace_id
-                .as_deref()
-                .filter(|id| ipe_obs::valid_trace_id(id))
-            {
-                Some(id) => id.to_owned(),
-                None => ipe_obs::gen_trace_id(),
-            };
-            (
-                Reply::json(500, error_body("internal error: request handler panicked")),
-                trace_id,
-            )
-        }
-    }
-}
-
-/// Per-request observability context handed down to the route handlers:
-/// the span handle children are opened under, plus the fields the access
-/// log reports. The handle is disabled for unsampled requests, making
-/// every span operation a no-op.
-struct ReqObs {
-    span: SpanHandle,
-    /// Whether the completion cache answered (`None` for routes that do
-    /// not consult it).
-    cache_hit: Option<bool>,
-    /// Search node expansions performed by this request.
-    expansions: u64,
-    /// Search branches pruned by this request.
-    prunes: u64,
-}
-
-impl ReqObs {
-    /// Folds one search run's counters into the access-log totals.
-    fn absorb_stats(&mut self, stats: &SearchStats) {
-        self.expansions += stats.calls;
-        self.prunes += stats.pruned_visited
-            + stats.pruned_best_t
-            + stats.pruned_best_u
-            + stats.pruned_index_unreachable
-            + stats.pruned_index_bound;
-    }
-}
-
-/// Coarse route label for per-route timers, the flight recorder, and the
-/// access log.
-fn route_label(req: &Request) -> &'static str {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/v1/complete") => "complete",
-        ("POST", "/v1/complete/batch") => "batch",
-        ("POST", "/v1/query") => "query",
-        (_, p) if p.starts_with("/v1/schemas") => "schemas",
-        (_, p) if p.starts_with("/v1/data") => "data",
-        (_, p) if p.starts_with("/v1/tenants") => "tenants",
-        ("GET", "/healthz") => "healthz",
-        ("GET", "/readyz") => "readyz",
-        (_, p) if p.starts_with("/v1/repl") => "repl",
-        ("GET", "/metrics") => "metrics",
-        ("GET", p) if p.starts_with("/v1/debug/requests") => "debug",
-        ("POST", "/v1/shutdown") => "shutdown",
-        _ => "other",
-    }
-}
-
-/// Records one request's wall time into its route's timer, so the
-/// Prometheus exposition derives p50/p95/p99 per route.
-fn record_route_timer(route: &'static str, ns: u64) {
-    use ipe_obs::Timer;
-    static COMPLETE: Timer = Timer::new("service.route.complete");
-    static BATCH: Timer = Timer::new("service.route.batch");
-    static SCHEMAS: Timer = Timer::new("service.route.schemas");
-    static DATA: Timer = Timer::new("service.route.data");
-    static TENANTS: Timer = Timer::new("service.route.tenants");
-    static QUERY: Timer = Timer::new("service.route.query");
-    static HEALTHZ: Timer = Timer::new("service.route.healthz");
-    static READYZ: Timer = Timer::new("service.route.readyz");
-    static REPL: Timer = Timer::new("service.route.repl");
-    static METRICS: Timer = Timer::new("service.route.metrics");
-    static DEBUG: Timer = Timer::new("service.route.debug");
-    static SHUTDOWN: Timer = Timer::new("service.route.shutdown");
-    static OTHER: Timer = Timer::new("service.route.other");
-    let timer = match route {
-        "complete" => &COMPLETE,
-        "batch" => &BATCH,
-        "schemas" => &SCHEMAS,
-        "data" => &DATA,
-        "tenants" => &TENANTS,
-        "query" => &QUERY,
-        "healthz" => &HEALTHZ,
-        "readyz" => &READYZ,
-        "repl" => &REPL,
-        "metrics" => &METRICS,
-        "debug" => &DEBUG,
-        "shutdown" => &SHUTDOWN,
-        _ => &OTHER,
-    };
-    timer.record_ns(ns);
-}
-
-/// The full request lifecycle around [`route`]: trace-id extraction (or
-/// generation), head sampling, the root `http` span, per-route timing,
-/// flight-recorder retention, and the access log. Returns the reply and
-/// the trace id to echo in the `x-ipe-trace-id` response header.
-fn handle_request(state: &Arc<ServiceState>, req: &Request) -> (Reply, String) {
-    let _t = ipe_obs::timer!("service.request");
-    ipe_obs::counter!("service.requests", 1);
-    state.requests_total.fetch_add(1, Ordering::Relaxed);
-    let started = Instant::now();
-    // Propagated ids are honoured only when header-and-JSON safe;
-    // anything else gets a fresh id.
-    let trace_id = match req
-        .trace_id
-        .as_deref()
-        .filter(|id| ipe_obs::valid_trace_id(id))
-    {
-        Some(id) => id.to_owned(),
-        None => ipe_obs::gen_trace_id(),
-    };
-    let sampled = state.flight.should_sample();
-    let trace = sampled.then(|| RequestTrace::start(trace_id.clone(), 0));
-    let mut obs = ReqObs {
-        span: trace.as_ref().map(|t| t.root_handle()).unwrap_or_default(),
-        cache_hit: None,
-        expansions: 0,
-        prunes: 0,
-    };
-    let mut http_span = obs.span.child("http");
-    if obs.span.is_enabled() {
-        // Guarded: the format allocates, and unsampled requests must pay
-        // only the sampling check.
-        http_span.note(&format!("{} {}", req.method, req.path));
-    }
-    obs.span = http_span.handle();
-    // Tenant-scoped paths (`/v1/t/:tenant/...`) rewrite to their legacy
-    // shape and route under that tenant; everything else is the built-in
-    // `default` tenant — legacy clients never see a behavior change.
-    let (reply, label) = match tenant_route(&req.path) {
-        Err(reply) => (reply, route_label(req)),
-        Ok((tenant_name, rewritten)) => {
-            let effective = rewritten.map(|path| Request {
-                method: req.method.clone(),
-                path,
-                query: req.query.clone(),
-                params: req.params.clone(),
-                trace_id: req.trace_id.clone(),
-                keep_alive: req.keep_alive,
-                body: req.body.clone(),
-            });
-            let req_eff = effective.as_ref().unwrap_or(req);
-            let label = route_label(req_eff);
-            match state.tenants.get(&tenant_name) {
-                None => (
-                    Reply::json(404, error_body(&format!("no tenant named `{tenant_name}`"))),
-                    label,
-                ),
-                Some(tenant) => (route(state, req_eff, &tenant, &mut obs), label),
-            }
-        }
-    };
-    http_span.attr("status", reply.status as u64);
-    http_span.finish();
-    let duration_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    record_route_timer(label, duration_ns);
-    let error = reply.status >= 400;
-    let slow = state.slow_ms > 0 && duration_ns >= state.slow_ms.saturating_mul(1_000_000);
-    if sampled || error || slow {
-        let (spans, dropped_spans) = match trace {
-            Some(t) => {
-                let done = t.finish();
-                (done.spans, done.dropped)
-            }
-            None => (Vec::new(), 0),
-        };
-        state.flight.record(CompletedRequest {
-            trace_id: trace_id.clone(),
-            route: label,
-            method: req.method.clone(),
-            path: req.path.clone(),
-            status: reply.status,
-            duration_ns,
-            error,
-            slow,
-            spans,
-            dropped_spans,
-            seq: 0,
-        });
-    }
-    if state.access_log {
-        eprintln!(
-            "{}",
-            access_log_line(&trace_id, label, req, reply.status, duration_ns, slow, &obs)
-        );
-    }
-    (reply, trace_id)
-}
-
-/// One structured access-log line: trace id, route, status, duration,
-/// cache outcome, and search effort, as a single JSON object.
-fn access_log_line(
-    trace_id: &str,
-    route: &'static str,
-    req: &Request,
-    status: u16,
-    duration_ns: u64,
-    slow: bool,
-    obs: &ReqObs,
-) -> String {
-    use std::fmt::Write as _;
-    let ts_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
-    let mut out = String::with_capacity(224);
-    let _ = write!(out, "{{\"ts_ms\": {ts_ms}, \"trace_id\": ");
-    ipe_obs::json::push_str_literal(&mut out, trace_id);
-    out.push_str(", \"route\": ");
-    ipe_obs::json::push_str_literal(&mut out, route);
-    out.push_str(", \"method\": ");
-    ipe_obs::json::push_str_literal(&mut out, &req.method);
-    out.push_str(", \"path\": ");
-    ipe_obs::json::push_str_literal(&mut out, &req.path);
-    let _ = write!(
-        out,
-        ", \"status\": {status}, \"duration_ns\": {duration_ns}"
-    );
-    match obs.cache_hit {
-        Some(hit) => {
-            let _ = write!(out, ", \"cache_hit\": {hit}");
-        }
-        None => out.push_str(", \"cache_hit\": null"),
-    }
-    let _ = write!(
-        out,
-        ", \"expansions\": {}, \"prunes\": {}, \"slow\": {slow}}}",
-        obs.expansions, obs.prunes
-    );
-    out
-}
-
-/// Splits a tenant-scoped path (`/v1/t/:tenant/rest`) into the tenant
-/// name and the legacy-equivalent path (`/v1/rest`). Un-prefixed paths
-/// map to the built-in `default` tenant with no rewrite.
-fn tenant_route(path: &str) -> Result<(String, Option<String>), Reply> {
-    let Some(rest) = path.strip_prefix("/v1/t/") else {
-        return Ok((DEFAULT_TENANT.to_owned(), None));
-    };
-    let Some((tenant, tail)) = rest.split_once('/') else {
-        return Err(Reply::json(
-            404,
-            error_body("tenant-scoped paths look like /v1/t/:tenant/<route>"),
-        ));
-    };
-    if let Err(e) = ipe_tenant::validate_tenant_name(tenant) {
-        return Err(Reply::json(400, error_body(&e.to_string())));
-    }
-    Ok((tenant.to_owned(), Some(format!("/v1/{tail}"))))
-}
-
-/// Whether a (rewritten) path is a work route: subject to the tenant's
-/// token-bucket request quota. Health, metrics, replication, debug, and
-/// the tenant control plane are exempt — throttling a health check or a
-/// scrape would blind the operator to the throttling itself.
-fn is_work_route(path: &str) -> bool {
-    path.starts_with("/v1/complete")
-        || path.starts_with("/v1/query")
-        || path.starts_with("/v1/schemas")
-        || path.starts_with("/v1/data")
-}
-
-/// Dispatches one request under its tenant.
-fn route(
-    state: &Arc<ServiceState>,
-    req: &Request,
-    tenant: &Arc<Tenant>,
-    obs: &mut ReqObs,
-) -> Reply {
-    // Tenant control plane first: never tenant-scoped, never admitted
-    // against a quota (an operator must always be able to raise one).
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/v1/tenants") => return handle_list_tenants(state),
-        ("PUT", p) if p.starts_with("/v1/tenants/") => return handle_put_tenant(state, req),
-        ("DELETE", p) if p.starts_with("/v1/tenants/") => return handle_delete_tenant(state, req),
-        ("GET", p) if p.starts_with("/v1/tenants/") => return handle_get_tenant(state, req),
-        _ => {}
-    }
-    // Admission control, before any parsing or search work: the rate
-    // quota on every work route, then the concurrent-search cap on the
-    // search bodies. The permit is RAII — held for the whole handler.
-    if is_work_route(&req.path) {
-        if let Admission::Throttled { retry_after_ms } = tenant.admit_request() {
-            return throttled_reply(tenant.name(), "request rate quota exceeded", retry_after_ms);
-        }
-    }
-    let search_route = matches!(
-        (req.method.as_str(), req.path.as_str()),
-        ("POST", "/v1/complete") | ("POST", "/v1/complete/batch") | ("POST", "/v1/query")
-    );
-    let _permit = if search_route {
-        match tenant.begin_search() {
-            Ok(permit) => Some(permit),
-            Err(retry_after_ms) => {
-                return throttled_reply(
-                    tenant.name(),
-                    "concurrent-search cap reached",
-                    retry_after_ms,
-                )
-            }
-        }
-    } else {
-        None
-    };
-    // A follower owns no part of the schema log: schema writes are
-    // misdirected and the client is told where the leader lives. Data
-    // loads (`/v1/data/*`) stay node-local — each replica serves queries
-    // against its own loaded instance — so they are not redirected.
-    if let Some(follower) = &state.follower {
-        let schema_write =
-            matches!(req.method.as_str(), "PUT" | "DELETE") && req.path.starts_with("/v1/schemas/");
-        if schema_write {
-            ipe_obs::counter!("repl.follower.writes_rejected", 1);
-            return Reply::json(
-                421,
-                error_body(&format!(
-                    "this node is a read-only follower; send schema writes for tenant `{}` to the leader at {}",
-                    tenant.name(),
-                    follower.leader
-                )),
-            )
-            .with_header("x-ipe-leader", follower.leader.clone());
-        }
-    }
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/v1/complete") => handle_complete(state, req, tenant, obs),
-        ("POST", "/v1/complete/batch") => handle_batch(state, req, tenant, obs),
-        ("GET", "/v1/schemas") => {
-            // Only this tenant's namespace, with the scope prefix
-            // stripped back off: names on the wire are tenant-local.
-            let list: Vec<crate::registry::SchemaInfo> = state
-                .registry
-                .list()
-                .into_iter()
-                .filter(|info| split_scoped(&info.name).0 == tenant.name())
-                .map(|mut info| {
-                    info.name = split_scoped(&info.name).1.to_owned();
-                    info
-                })
-                .collect();
-            match serde_json::to_string(&list) {
-                Ok(json) => Reply::json(200, format!("{{\"schemas\": {json}}}")),
-                Err(e) => Reply::json(500, error_body(&e.to_string())),
-            }
-        }
-        ("POST", "/v1/query") => handle_query(state, req, tenant, obs),
-        ("PUT", path) if path.starts_with("/v1/data/") => handle_put_data(state, req, tenant, obs),
-        ("GET", path) if path.starts_with("/v1/data/") => handle_get_data(state, req, tenant),
-        ("DELETE", path) if path.starts_with("/v1/data/") => handle_delete_data(state, req, tenant),
-        ("PUT", path) if path.starts_with("/v1/schemas/") => handle_put_schema(state, req, tenant),
-        ("DELETE", path) if path.starts_with("/v1/schemas/") => {
-            handle_delete_schema(state, req, tenant)
-        }
-        ("GET", path) if path.starts_with("/v1/schemas/") => handle_get_schema(state, req, tenant),
-        ("GET", "/healthz") => Reply::json(200, "{\"status\": \"ok\"}".to_owned()),
-        ("GET", "/readyz") => handle_readyz(state),
-        ("GET", "/v1/repl/stream") => handle_repl_stream(state, req),
-        ("GET", "/v1/repl/status") => handle_repl_status(state),
-        ("GET", "/metrics") => {
-            if req.query_param("format") == Some("prometheus") {
-                Reply {
-                    status: 200,
-                    body: metrics_prometheus(state),
-                    content_type: "text/plain; version=0.0.4; charset=utf-8",
-                    headers: Vec::new(),
-                    stream: None,
-                }
-            } else {
-                Reply::json(200, metrics_json(state))
-            }
-        }
-        ("GET", "/v1/debug/requests") => handle_debug_requests(state),
-        ("GET", path) if path.starts_with("/v1/debug/requests/") => {
-            handle_debug_request(state, path)
-        }
-        ("POST", "/v1/debug/panic") if state.debug_panic_route => handle_debug_panic(state),
-        ("POST", "/v1/shutdown") => {
-            // Flag only; the serving reactor flushes this response, then
-            // observes the flag and wakes its siblings to drain.
-            state.shutdown.store(true, Ordering::SeqCst);
-            Reply::json(200, "{\"ok\": true}".to_owned())
-        }
-        _ => Reply::json(404, error_body("no such endpoint")),
-    }
-}
-
-/// `POST /v1/debug/panic` (only with
-/// [`ServiceConfig::debug_panic_route`]): panics while holding the store,
-/// warmup, and builder locks — the exact failure mode that used to
-/// cascade through `.expect("store poisoned")` and kill every later
-/// request. The e2e poison-recovery test drives this route and then
-/// proves the server still serves durable writes.
-fn handle_debug_panic(state: &Arc<ServiceState>) -> Reply {
-    let _store = state.store.as_ref().map(|m| lock_recover(m, "store"));
-    let _warmup = state.warmup.as_ref().map(|w| w.inner.lock());
-    let _builders = lock_recover(&state.index_builders, "index builders");
-    panic!("injected panic (debug_panic_route)");
-}
-
-/// `GET /v1/debug/requests`: the flight recorder's retained-trace
-/// summaries. Cleanly absent (404) when observability is compiled out.
-fn handle_debug_requests(state: &Arc<ServiceState>) -> Reply {
-    if ipe_obs::disabled() {
-        return Reply::json(404, error_body("request tracing is compiled out (obs-off)"));
-    }
-    Reply::json(200, state.flight.dump_json())
-}
-
-/// `GET /v1/debug/requests/:trace_id`: one retained trace, spans and all.
-fn handle_debug_request(state: &Arc<ServiceState>, path: &str) -> Reply {
-    if ipe_obs::disabled() {
-        return Reply::json(404, error_body("request tracing is compiled out (obs-off)"));
-    }
-    let id = &path["/v1/debug/requests/".len()..];
-    if id.is_empty() || id.contains('/') {
-        return Reply::json(400, error_body("trace id must be a single path segment"));
-    }
-    match state.flight.lookup(id) {
-        Some(trace) => Reply::json(200, trace.to_json()),
-        None => Reply::json(404, error_body(&format!("no retained trace `{id}`"))),
-    }
-}
-
-/// `GET /readyz`: readiness, as distinct from `/healthz` liveness. A
-/// draining node and a follower that is behind the leader are both alive
-/// but must be rotated out of a load balancer; the `503` body carries the
-/// lag so operators can see how far behind the replica is.
-fn handle_readyz(state: &Arc<ServiceState>) -> Reply {
-    if state.shutting_down() {
-        return Reply::json(
-            503,
-            "{\"ready\": false, \"status\": \"draining\"}".to_owned(),
-        );
-    }
-    let Some(follower) = &state.follower else {
-        return Reply::json(
-            200,
-            "{\"ready\": true, \"status\": \"ready\", \"role\": \"leader\"}".to_owned(),
-        );
-    };
-    if follower.is_ready() {
-        Reply::json(
-            200,
-            format!(
-                "{{\"ready\": true, \"status\": \"ready\", \"role\": \"follower\", \"applied_seq\": {}}}",
-                follower.applied_seq()
-            ),
-        )
-    } else {
-        ipe_obs::counter!("repl.follower.not_ready", 1);
-        Reply::json(
-            503,
-            format!(
-                "{{\"ready\": false, \"status\": \"lagging\", \"role\": \"follower\", \
-                 \"connected\": {}, \"applied_seq\": {}, \"lag_seq\": {}, \"lag_ms\": {}}}",
-                follower.connected(),
-                follower.applied_seq(),
-                follower.lag_seq(),
-                follower.lag_ms()
-            ),
-        )
-    }
-}
-
-/// `GET /v1/repl/stream?from_seq=N`: opens a replication stream. The
-/// reply carries no body; the [`StreamStart`] marker makes the reactor
-/// detach the socket and hand it to a streaming thread (see
-/// [`crate::repl`]).
-fn handle_repl_stream(state: &Arc<ServiceState>, req: &Request) -> Reply {
-    if let Some(follower) = &state.follower {
-        return Reply::json(
-            400,
-            error_body(&format!(
-                "this node is a follower; stream from the leader at {}",
-                follower.leader
-            )),
-        )
-        .with_header("x-ipe-leader", follower.leader.clone());
-    }
-    if state.repl_hub.is_none() {
-        return Reply::json(
-            400,
-            error_body("replication requires a durable leader (start with --data-dir)"),
-        );
-    }
-    if state.shutting_down() {
-        return Reply::json(503, error_body("leader is draining"));
-    }
-    let from_seq = match req.query_param("from_seq").unwrap_or("0").parse::<u64>() {
-        Ok(n) => n,
-        Err(_) => return Reply::json(400, error_body("`from_seq` must be an unsigned integer")),
-    };
-    Reply {
-        status: 200,
-        body: String::new(),
-        content_type: "application/octet-stream",
-        headers: Vec::new(),
-        stream: Some(StreamStart { from_seq }),
-    }
-}
-
-/// `GET /v1/repl/status`: the replication gauge section on its own, for
-/// scripts and tests that poll convergence without parsing `/metrics`.
-fn handle_repl_status(state: &Arc<ServiceState>) -> Reply {
-    match serde_json::to_string(&state.repl_metrics()) {
-        Ok(json) => Reply::json(200, json),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-/// Body of every `429`: the machine-readable retry envelope shared with
-/// the replica `409` (see [`ReadRefused`]) — `retryable` says whether
-/// this same node can eventually serve the request, `retry_after_ms` is
-/// the server's backoff hint. Clients branch on the fields, not on
-/// message text.
-#[derive(serde::Serialize)]
-struct ThrottleBody {
-    error: String,
-    retryable: bool,
-    retry_after_ms: u64,
-    tenant: String,
-}
-
-/// Renders a `429 Too Many Requests` with the unified retry envelope and
-/// a `Retry-After` header (whole seconds, rounded up, at least 1).
-fn throttled_reply(tenant: &str, what: &str, retry_after_ms: u64) -> Reply {
-    let body = ThrottleBody {
-        error: format!("tenant `{tenant}`: {what}"),
-        retryable: true,
-        retry_after_ms,
-        tenant: tenant.to_owned(),
-    };
-    let reply = match serde_json::to_string(&body) {
-        Ok(json) => Reply::json(429, json),
-        Err(e) => return Reply::json(500, error_body(&e.to_string())),
-    };
-    reply.with_header(
-        "retry-after",
-        retry_after_ms.div_ceil(1000).max(1).to_string(),
-    )
-}
-
-/// Maps a tenant-registry error onto its status.
-fn tenant_error_reply(e: TenantError) -> Reply {
-    let status = match e {
-        TenantError::BadName(_) => 400,
-        TenantError::Unknown => 404,
-        TenantError::Immortal => 409,
-    };
-    Reply::json(status, error_body(&e.to_string()))
-}
-
-/// Extracts and validates the `:tenant` segment of a `/v1/tenants/:tenant`
-/// path.
-fn tenant_name_segment(path: &str) -> Result<&str, Reply> {
-    let name = &path["/v1/tenants/".len()..];
-    if name.is_empty() || name.contains('/') {
-        return Err(Reply::json(
-            400,
-            error_body("tenant name must be a single path segment"),
-        ));
-    }
-    Ok(name)
-}
-
-/// One tenant on the wire (`GET /v1/tenants`, `PUT /v1/tenants/:tenant`).
-#[derive(serde::Serialize)]
-struct TenantView {
-    tenant: String,
-    created: bool,
-    config: TenantConfig,
-    in_flight: u64,
-    admitted: u64,
-    throttled: u64,
-    busy: u64,
-    searches: u64,
-}
-
-fn tenant_view(tenant: &Arc<Tenant>, created: bool) -> TenantView {
-    let counters = tenant.counters();
-    TenantView {
-        tenant: tenant.name().to_owned(),
-        created,
-        config: tenant.config(),
-        in_flight: u64::from(tenant.in_flight()),
-        admitted: counters.admitted,
-        throttled: counters.throttled,
-        busy: counters.busy,
-        searches: counters.searches,
-    }
-}
-
-/// `GET /v1/tenants`: every tenant, `default` included.
-fn handle_list_tenants(state: &Arc<ServiceState>) -> Reply {
-    let views: Vec<TenantView> = state
-        .tenants
-        .list()
-        .iter()
-        .map(|t| tenant_view(t, false))
-        .collect();
-    match serde_json::to_string(&views) {
-        Ok(json) => Reply::json(200, format!("{{\"tenants\": {json}}}")),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-/// `GET /v1/tenants/:tenant`: one tenant's config and counters.
-fn handle_get_tenant(state: &Arc<ServiceState>, req: &Request) -> Reply {
-    let name = match tenant_name_segment(&req.path) {
-        Ok(n) => n,
-        Err(resp) => return resp,
-    };
-    let Some(tenant) = state.tenants.get(name) else {
-        return Reply::json(404, error_body(&format!("no tenant named `{name}`")));
-    };
-    match serde_json::to_string(&tenant_view(&tenant, false)) {
-        Ok(json) => Reply::json(200, json),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-/// `PUT /v1/tenants/:tenant`: creates a tenant namespace, or reconfigures
-/// an existing one in place (quota state and counters survive a
-/// reconfigure). The body is a [`TenantConfig`]; an empty body means
-/// default (unlimited) quotas. Reconfiguring `default` is allowed — that
-/// is how legacy un-prefixed traffic gets quotas.
-fn handle_put_tenant(state: &Arc<ServiceState>, req: &Request) -> Reply {
-    let name = match tenant_name_segment(&req.path) {
-        Ok(n) => n,
-        Err(resp) => return resp,
-    };
-    let body = match req.text() {
-        Ok(b) => b,
-        Err(msg) => return Reply::json(400, error_body(msg)),
-    };
-    let config: TenantConfig = if body.trim().is_empty() {
-        TenantConfig::default()
-    } else {
-        match serde_json::from_str(body) {
-            Ok(c) => c,
-            Err(e) => return Reply::json(400, error_body(&format!("bad tenant config: {e}"))),
-        }
-    };
-    let cache_bytes = config.cache_bytes;
-    let (tenant, created) = match state.tenants.put(name, config) {
-        Ok(x) => x,
-        Err(e) => return tenant_error_reply(e),
-    };
-    // The cache partition's byte budget follows the config — a shrink
-    // evicts down to the new budget on the partition's next insert.
-    state.caches.ensure(name, cache_bytes);
-    state.persist_tenants();
-    match serde_json::to_string(&tenant_view(&tenant, created)) {
-        Ok(json) => Reply::json(if created { 201 } else { 200 }, json),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-/// Counts reported by a tenant purge (`DELETE /v1/tenants/:tenant`).
-#[derive(serde::Serialize)]
-struct TenantDeleteResponse {
-    tenant: String,
-    purged_schemas: u64,
-    purged_data: u64,
-    purged_cache_entries: u64,
-    purged_cache_bytes: u64,
-    purged_sidecars: u64,
-}
-
-/// `DELETE /v1/tenants/:tenant`: removes the namespace and purges
-/// everything it owned — registry entries (each with a WAL delete, so
-/// followers converge), loaded data instances, index sidecars, and the
-/// whole cache partition. The store lock is held across the sweep so a
-/// racing PUT serializes against the purge instead of interleaving with
-/// it. `default` is immortal (`409`).
-fn handle_delete_tenant(state: &Arc<ServiceState>, req: &Request) -> Reply {
-    let name = match tenant_name_segment(&req.path) {
-        Ok(n) => n,
-        Err(resp) => return resp,
-    };
-    // Remove the tenant first: new requests 404 while the purge runs
-    // (in-flight ones hold their own Arc and drain naturally).
-    if let Err(e) = state.tenants.remove(name) {
-        return tenant_error_reply(e);
-    }
-    let owned: Vec<String> = state
-        .registry
-        .list()
-        .into_iter()
-        .filter(|info| split_scoped(&info.name).0 == name)
-        .map(|info| info.name)
-        .collect();
-    let mut purged_schemas = 0u64;
-    let mut purged_data = 0u64;
-    let mut purged_sidecars = 0u64;
-    let mut append_err: Option<String> = None;
-    {
-        let mut store_guard = state.store.as_ref().map(|m| lock_recover(m, "store"));
-        for key in &owned {
-            let Some(entry) = state.registry.remove(key) else {
-                continue;
-            };
-            purged_schemas += 1;
-            if state.data.remove(key).is_some() {
-                purged_data += 1;
-            }
-            if let Some(dir) = &state.data_dir {
-                if remove_sidecar(dir, entry.id).is_ok() {
-                    purged_sidecars += 1;
-                }
-            }
-            if let Some(store) = store_guard.as_mut() {
-                let bare = split_scoped(key).1;
-                match store.append_delete(name, bare) {
-                    Ok(appended) => {
-                        if let Some(hub) = &state.repl_hub {
-                            hub.publish(&WalRecord {
-                                seq: appended.seq,
-                                op: WalOp::Delete {
-                                    tenant: name.to_owned(),
-                                    name: bare.to_owned(),
-                                },
-                            });
-                        }
-                    }
-                    Err(e) => {
-                        ipe_obs::counter!("store.wal.append_failed", 1);
-                        append_err.get_or_insert_with(|| e.to_string());
-                    }
-                }
-            }
-        }
-    }
-    let (purged_cache_entries, purged_cache_bytes) = state.caches.drop_partition(name);
-    state.persist_tenants();
-    ipe_obs::counter!("service.tenant.deleted", 1);
-    if let Some(e) = append_err {
-        return Reply::json(
-            500,
-            error_body(&format!("tenant purged but deletes not persisted: {e}")),
-        );
-    }
-    let response = TenantDeleteResponse {
-        tenant: name.to_owned(),
-        purged_schemas,
-        purged_data,
-        purged_cache_entries,
-        purged_cache_bytes,
-        purged_sidecars,
-    };
-    match serde_json::to_string(&response) {
-        Ok(json) => Reply::json(200, json),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-/// Body of a `409` from [`admit_read`].
-#[derive(serde::Serialize)]
-struct ReadRefused {
-    error: String,
-    /// Whether retrying against this same node can succeed (true on a
-    /// lagging follower, false when the requested generation exists
-    /// nowhere).
-    retryable: bool,
-    /// Backoff hint when `retryable` (same contract as the `429` body).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    retry_after_ms: Option<u64>,
-    schema: String,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    generation: Option<u64>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    min_generation: Option<u64>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    applied_seq: Option<u64>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    lag_seq: Option<u64>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    lag_ms: Option<u64>,
-}
-
-/// Generation-aware read admission. `None` admits the request. A reader
-/// that pins `min_generation` (read-your-writes after a schema PUT on the
-/// leader) never gets an older generation served silently: a follower
-/// that hasn't applied it yet answers `409` with `retryable: true` and
-/// its lag, and a caught-up node answers `409` with `retryable: false`
-/// (the generation does not exist). A missing schema on a lagging
-/// follower is also deferred — it may simply not have arrived yet — while
-/// on a caught-up node it falls through to the ordinary `404`.
-fn admit_read(
-    state: &Arc<ServiceState>,
-    name: &str,
-    entry: Option<&Arc<crate::SchemaEntry>>,
-    min_generation: Option<u64>,
-) -> Option<Reply> {
-    let generation = entry.map(|e| e.generation);
-    let met = match (generation, min_generation) {
-        (Some(_), None) => true,
-        (Some(have), Some(want)) => have >= want,
-        (None, _) => false,
-    };
-    if met {
-        return None;
-    }
-    if let Some(follower) = &state.follower {
-        if !follower.is_ready() {
-            ipe_obs::counter!("repl.follower.reads_deferred", 1);
-            let body = ReadRefused {
-                error: "replica has not applied this schema generation yet; retry".to_owned(),
-                retryable: true,
-                // Lag-proportional hint, floored so clients never spin
-                // and capped so they re-probe a recovering replica soon.
-                retry_after_ms: Some(follower.lag_ms().clamp(25, 2_000)),
-                schema: name.to_owned(),
-                generation,
-                min_generation,
-                applied_seq: Some(follower.applied_seq()),
-                lag_seq: Some(follower.lag_seq()),
-                lag_ms: Some(follower.lag_ms()),
-            };
-            return Some(refusal_reply(&body));
-        }
-    }
-    match (generation, min_generation) {
-        (Some(have), Some(want)) if have < want => {
-            let body = ReadRefused {
-                error: format!(
-                    "schema `{name}` is at generation {have}, below the requested min_generation {want}"
-                ),
-                retryable: false,
-                retry_after_ms: None,
-                schema: name.to_owned(),
-                generation,
-                min_generation,
-                applied_seq: None,
-                lag_seq: None,
-                lag_ms: None,
-            };
-            Some(refusal_reply(&body))
-        }
-        // Caught up (or leader) and the schema simply isn't registered:
-        // let the handler answer its ordinary 404.
-        _ => None,
-    }
-}
-
-fn refusal_reply(body: &ReadRefused) -> Reply {
-    match serde_json::to_string(body) {
-        Ok(json) => Reply::json(409, json),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-fn handle_complete(
-    state: &Arc<ServiceState>,
-    req: &Request,
-    tenant: &Arc<Tenant>,
-    obs: &mut ReqObs,
-) -> Reply {
-    let body = match req.text() {
-        Ok(b) => b,
-        Err(msg) => return Reply::json(400, error_body(msg)),
-    };
-    let mut parsed: CompleteRequest = match serde_json::from_str(body) {
-        Ok(p) => p,
-        Err(e) => return Reply::json(400, error_body(&format!("bad request body: {e}"))),
-    };
-    let tcfg = tenant.config();
-    if parsed.e.is_none() {
-        parsed.e = tcfg.default_e;
-    }
-    if parsed.pruning.is_none() {
-        parsed.pruning = tcfg.default_pruning.clone();
-    }
-    let started = Instant::now();
-    let name = parsed.schema_name();
-    let key_name = scoped_name(tenant.name(), name);
-    let mut lookup_span = obs.span.child("registry.lookup");
-    lookup_span.note(&key_name);
-    let entry = state.registry.get(&key_name);
-    lookup_span.attr("found", entry.is_some() as u64);
-    lookup_span.finish();
-    if let Some(refused) = admit_read(state, name, entry.as_ref(), parsed.min_generation) {
-        return refused;
-    }
-    let Some(entry) = entry else {
-        return Reply::json(404, error_body(&format!("no schema named `{name}`")));
-    };
-    let cache = state.caches.partition(tenant.name());
-    let mut parse_span = obs.span.child("parse");
-    parse_span.note(&parsed.query);
-    let ast = match parse_path_expression(&parsed.query) {
-        Ok(ast) => ast,
-        Err(e) => return Reply::json(400, error_body(&e.to_string())),
-    };
-    parse_span.finish();
-    let cfg = match parsed.config(&entry.schema) {
-        Ok(cfg) => cfg,
-        Err(msg) => return Reply::json(400, error_body(&msg)),
-    };
-    let normalized = ast.to_string();
-    let key = CacheKey {
-        schema_id: entry.id,
-        generation: entry.generation,
-        query: normalized.clone(),
-        fingerprint: config_fingerprint(&cfg),
-    };
-    let mut probe_span = obs.span.child("cache.probe");
-    let probe = cache.get(&key);
-    probe_span.attr("hit", probe.is_some() as u64);
-    probe_span.finish();
-    let (outcome, cached) = match probe {
-        Some(hit) => (hit, true),
-        None => {
-            let mut engine = Completer::with_config(&entry.schema, cfg);
-            let indexed = entry
-                .index()
-                .map(|ix| engine.attach_index(ix))
-                .unwrap_or(false);
-            state.count_complete(indexed);
-            let mut search_span = obs.span.child("search");
-            search_span.attr("indexed", indexed as u64);
-            let limits = SearchLimits {
-                span: search_span.handle(),
-                ..SearchLimits::default()
-            };
-            match engine.complete_bounded(&ast, &limits) {
-                Ok(outcome) => {
-                    search_span.attr("calls", outcome.stats.calls);
-                    search_span.finish();
-                    obs.absorb_stats(&outcome.stats);
-                    let weight = entry_weight(&key, &outcome);
-                    let outcome = Arc::new(outcome);
-                    cache.insert_weighted(key, Arc::clone(&outcome), weight);
-                    (outcome, false)
-                }
-                Err(e) => return Reply::json(422, error_body(&e.to_string())),
-            }
-        }
-    };
-    obs.cache_hit = Some(cached);
-    if let Some(warmup) = &state.warmup {
-        warmup.record(&entry.name, &normalized);
-    }
-    let duration_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    let response = CompleteResponse {
-        schema: split_scoped(&entry.name).1.to_owned(),
-        generation: entry.generation,
-        query: normalized,
-        cached,
-        duration_ns,
-        completions: completion_views(&entry.schema, &outcome),
-        stats: outcome.stats,
-    };
-    match serde_json::to_string(&response) {
-        Ok(json) => Reply::json(200, json),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-/// Renders a search outcome's completions into wire form.
-fn completion_views(schema: &Schema, outcome: &SearchOutcome) -> Vec<CompletionView> {
-    outcome
-        .completions
-        .iter()
-        .map(|c| CompletionView {
-            text: c.display(schema).to_string(),
-            connector: c.label.connector.to_string(),
-            semlen: c.label.semlen as u64,
-            edges: c.edges.len() as u64,
-        })
-        .collect()
-}
-
-fn handle_batch(
-    state: &Arc<ServiceState>,
-    req: &Request,
-    tenant: &Arc<Tenant>,
-    obs: &mut ReqObs,
-) -> Reply {
-    let body = match req.text() {
-        Ok(b) => b,
-        Err(msg) => return Reply::json(400, error_body(msg)),
-    };
-    let mut parsed: BatchCompleteRequest = match serde_json::from_str(body) {
-        Ok(p) => p,
-        Err(e) => return Reply::json(400, error_body(&format!("bad request body: {e}"))),
-    };
-    if parsed.queries.len() > MAX_BATCH_ITEMS {
-        return Reply::json(
-            400,
-            error_body(&format!(
-                "batch of {} queries exceeds the cap of {MAX_BATCH_ITEMS}",
-                parsed.queries.len()
-            )),
-        );
-    }
-    let tcfg = tenant.config();
-    if parsed.e.is_none() {
-        parsed.e = tcfg.default_e;
-    }
-    if parsed.pruning.is_none() {
-        parsed.pruning = tcfg.default_pruning.clone();
-    }
-    let started = Instant::now();
-    let name = parsed.schema_name();
-    let key_name = scoped_name(tenant.name(), name);
-    let entry = state.registry.get(&key_name);
-    if let Some(refused) = admit_read(state, name, entry.as_ref(), parsed.min_generation) {
-        return refused;
-    }
-    let Some(entry) = entry else {
-        return Reply::json(404, error_body(&format!("no schema named `{name}`")));
-    };
-    let cache = state.caches.partition(tenant.name());
-    let cfg = match parsed.config(&entry.schema) {
-        Ok(cfg) => cfg,
-        Err(msg) => return Reply::json(400, error_body(&msg)),
-    };
-    let deadline_ms = parsed
-        .deadline_ms
-        .or(tcfg.deadline_ms)
-        .unwrap_or(DEFAULT_BATCH_DEADLINE_MS)
-        .min(MAX_BATCH_DEADLINE_MS);
-    let threads = parsed
-        .threads
-        .unwrap_or(state.batch_threads as u64)
-        .clamp(1, MAX_BATCH_THREADS) as usize;
-    let fingerprint = config_fingerprint(&cfg);
-
-    // First pass: parse and probe the cache per item. Parse failures and
-    // cache hits resolve immediately; misses collect into one parallel
-    // engine batch.
-    let mut prepare_span = obs.span.child("batch.prepare");
-    prepare_span.attr("items", parsed.queries.len() as u64);
-    let mut views: Vec<Option<BatchItemView>> = (0..parsed.queries.len()).map(|_| None).collect();
-    let mut miss_slots: Vec<usize> = Vec::new();
-    let mut miss_keys: Vec<CacheKey> = Vec::new();
-    let mut miss_asts: Vec<PathExprAst> = Vec::new();
-    for (i, query) in parsed.queries.iter().enumerate() {
-        match parse_path_expression(query) {
-            Err(e) => {
-                views[i] = Some(BatchItemView {
-                    query: query.clone(),
-                    status: "error".to_owned(),
-                    cached: false,
-                    duration_ns: 0,
-                    error: Some(e.to_string()),
-                    completions: Vec::new(),
-                });
-            }
-            Ok(ast) => {
-                let normalized = ast.to_string();
-                let key = CacheKey {
-                    schema_id: entry.id,
-                    generation: entry.generation,
-                    query: normalized.clone(),
-                    fingerprint,
-                };
-                if let Some(hit) = cache.get(&key) {
-                    views[i] = Some(BatchItemView {
-                        query: normalized,
-                        status: "ok".to_owned(),
-                        cached: true,
-                        duration_ns: 0,
-                        error: None,
-                        completions: completion_views(&entry.schema, &hit),
-                    });
-                } else {
-                    miss_slots.push(i);
-                    miss_keys.push(key);
-                    miss_asts.push(ast);
-                }
-            }
-        }
-    }
-
-    let resolved = views.iter().filter(|v| v.is_some()).count();
-    prepare_span.attr("resolved", resolved as u64);
-    prepare_span.attr("misses", miss_asts.len() as u64);
-    prepare_span.finish();
-
-    // Second pass: the misses, fanned over the batch work pool. Only `ok`
-    // results enter the cache — a deadline hit is a property of this
-    // run's budget, not of the query.
-    let mut deadline_hits = 0u64;
-    if !miss_asts.is_empty() {
-        let mut fanout_span = obs.span.child("batch");
-        fanout_span.attr("misses", miss_asts.len() as u64);
-        fanout_span.attr("threads", threads as u64);
-        let opts = BatchOptions {
-            threads,
-            deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
-            cancel: None,
-            span: fanout_span.handle(),
-        };
-        let mut engine = Completer::with_config(&entry.schema, cfg);
-        let indexed = entry
-            .index()
-            .map(|ix| engine.attach_index(ix))
-            .unwrap_or(false);
-        state.count_complete(indexed);
-        let out = complete_batch(&engine, &miss_asts, &opts);
-        fanout_span.finish();
-        for item in out {
-            let slot = miss_slots[item.index];
-            let key = miss_keys[item.index].clone();
-            let normalized = key.query.clone();
-            views[slot] = Some(match item.result {
-                Ok(outcome) => {
-                    obs.absorb_stats(&outcome.stats);
-                    let completions = completion_views(&entry.schema, &outcome);
-                    let weight = entry_weight(&key, &outcome);
-                    cache.insert_weighted(key, Arc::new(outcome), weight);
-                    BatchItemView {
-                        query: normalized,
-                        status: "ok".to_owned(),
-                        cached: false,
-                        duration_ns: item.duration_ns,
-                        error: None,
-                        completions,
-                    }
-                }
-                Err(e) => {
-                    let status = if matches!(e, CompleteError::DeadlineExceeded) {
-                        deadline_hits += 1;
-                        "deadline_exceeded"
-                    } else {
-                        "error"
-                    };
-                    BatchItemView {
-                        query: normalized,
-                        status: status.to_owned(),
-                        cached: false,
-                        duration_ns: item.duration_ns,
-                        error: Some(e.to_string()),
-                        completions: Vec::new(),
-                    }
-                }
-            });
-        }
-    }
-
-    let response = BatchCompleteResponse {
-        schema: split_scoped(&entry.name).1.to_owned(),
-        generation: entry.generation,
-        deadline_ms,
-        threads: threads as u64,
-        wall_ns: started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-        deadline_hits,
-        items: views
-            .into_iter()
-            .map(|v| v.expect("every batch slot resolved"))
-            .collect(),
-    };
-    // The batch as a whole "hit" only when every query resolved from
-    // cache (no fan-out ran).
-    obs.cache_hit = Some(response.items.iter().all(|v| v.cached));
-    match serde_json::to_string(&response) {
-        Ok(json) => Reply::json(200, json),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-/// Extracts and validates the `:name` segment of a `/v1/schemas/:name`
-/// path.
-fn schema_name_segment(path: &str) -> Result<&str, Reply> {
-    let name = &path["/v1/schemas/".len()..];
-    if name.is_empty() || name.contains('/') {
-        return Err(Reply::json(
-            400,
-            error_body("schema name must be a single path segment"),
-        ));
-    }
-    Ok(name)
-}
-
-fn handle_put_schema(state: &Arc<ServiceState>, req: &Request, tenant: &Arc<Tenant>) -> Reply {
-    let name = match schema_name_segment(&req.path) {
-        Ok(n) => n,
-        Err(resp) => return resp,
-    };
-    let body = match req.text() {
-        Ok(b) => b,
-        Err(msg) => return Reply::json(400, error_body(msg)),
-    };
-    let schema = match Schema::from_json(body) {
-        Ok(s) => s,
-        Err(e) => return Reply::json(400, error_body(&format!("invalid schema: {e}"))),
-    };
-    let entry = match state.register_schema_for(tenant.name(), name, schema, body) {
-        Ok(entry) => entry,
-        Err(e) => {
-            return Reply::json(
-                500,
-                error_body(&format!("schema registered but not persisted: {e}")),
-            )
-        }
-    };
-    // Generation keying already shields correctness; purging just frees
-    // the dead generations' memory eagerly.
-    let purged = if entry.generation > 1 {
-        state.caches.purge_schema(tenant.name(), entry.id)
-    } else {
-        0
-    };
-    // Kick off the index build for the new generation; until it lands the
-    // entry serves unindexed.
-    spawn_index_build(state, Arc::clone(&entry));
-    let response = SchemaPutResponse {
-        name: split_scoped(&entry.name).1.to_owned(),
-        id: entry.id,
-        generation: entry.generation,
-        purged_cache_entries: purged,
-    };
-    match serde_json::to_string(&response) {
-        Ok(json) => Reply::json(200, json),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-fn handle_delete_schema(state: &Arc<ServiceState>, req: &Request, tenant: &Arc<Tenant>) -> Reply {
-    let name = match schema_name_segment(&req.path) {
-        Ok(n) => n,
-        Err(resp) => return resp,
-    };
-    let key_name = scoped_name(tenant.name(), name);
-    let store_guard = state.store.as_ref().map(|m| lock_recover(m, "store"));
-    let Some(entry) = state.registry.remove(&key_name) else {
-        return Reply::json(404, error_body(&format!("no schema named `{name}`")));
-    };
-    // Purge before acknowledging so a deleted schema's cached results are
-    // unreachable the moment the 200 lands. The loaded data instance goes
-    // with it: it was validated against this schema's generations, and
-    // leaving it behind made a later PUT of the same name serve queries
-    // against a stale instance under a colliding name.
-    let purged = state.caches.purge_schema(tenant.name(), entry.id);
-    let purged_data = state.data.remove(&key_name).is_some();
-    // The id will never be reissued, so its sidecar is dead weight.
-    if let Some(dir) = &state.data_dir {
-        let _ = remove_sidecar(dir, entry.id);
-    }
-    if let Some(mut store) = store_guard {
-        match store.append_delete(tenant.name(), name) {
-            Ok(appended) => {
-                // Published under the store mutex, as in `register_schema`.
-                if let Some(hub) = &state.repl_hub {
-                    hub.publish(&WalRecord {
-                        seq: appended.seq,
-                        op: WalOp::Delete {
-                            tenant: tenant.name().to_owned(),
-                            name: name.to_owned(),
-                        },
-                    });
-                }
-            }
-            Err(e) => {
-                ipe_obs::counter!("store.wal.append_failed", 1);
-                return Reply::json(
-                    500,
-                    error_body(&format!("schema removed but delete not persisted: {e}")),
-                );
-            }
-        }
-    }
-    let response = SchemaDeleteResponse {
-        name: split_scoped(&entry.name).1.to_owned(),
-        id: entry.id,
-        generation: entry.generation,
-        purged_cache_entries: purged,
-        purged_data,
-    };
-    match serde_json::to_string(&response) {
-        Ok(json) => Reply::json(200, json),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-fn handle_get_schema(state: &Arc<ServiceState>, req: &Request, tenant: &Arc<Tenant>) -> Reply {
-    let name = match schema_name_segment(&req.path) {
-        Ok(n) => n,
-        Err(resp) => return resp,
-    };
-    let Some(entry) = state.registry.get(&scoped_name(tenant.name(), name)) else {
-        return Reply::json(404, error_body(&format!("no schema named `{name}`")));
-    };
-    let info = crate::registry::SchemaInfo {
-        name: split_scoped(&entry.name).1.to_owned(),
-        id: entry.id,
-        generation: entry.generation,
-        classes: entry.schema.class_count() as u64,
-        relationships: entry.schema.rel_count() as u64,
-    };
-    match serde_json::to_string(&info) {
-        Ok(json) => Reply::json(200, json),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
 /// Replays up to `top_k` warmup journal entries against the engine,
 /// inserting the results under the default-config cache key (the key
 /// steady-state interactive traffic hits). Entries for unknown schemas or
@@ -2428,12 +921,9 @@ fn handle_get_schema(state: &Arc<ServiceState>, req: &Request, tenant: &Arc<Tena
 /// were warmed.
 fn warm_cache(state: &Arc<ServiceState>, entries: &[WarmupEntry], top_k: usize) -> u64 {
     // Group by schema so each registry entry is resolved once.
-    let mut by_schema: Vec<(&str, Vec<&WarmupEntry>)> = Vec::new();
+    let mut by_schema: BTreeMap<&str, Vec<&WarmupEntry>> = BTreeMap::new();
     for entry in entries.iter().take(top_k) {
-        match by_schema.iter_mut().find(|(name, _)| *name == entry.schema) {
-            Some((_, group)) => group.push(entry),
-            None => by_schema.push((&entry.schema, vec![entry])),
-        }
+        by_schema.entry(&entry.schema).or_default().push(entry);
     }
     let cfg = CompletionConfig::default();
     let fingerprint = config_fingerprint(&cfg);
@@ -2479,565 +969,4 @@ fn warm_cache(state: &Arc<ServiceState>, entries: &[WarmupEntry], top_k: usize) 
         }
     }
     warmed
-}
-
-/// Extracts and validates the `:schema` segment of a `/v1/data/:schema`
-/// path.
-fn data_name_segment(path: &str) -> Result<&str, Reply> {
-    let name = &path["/v1/data/".len()..];
-    if name.is_empty() || name.contains('/') {
-        return Err(Reply::json(
-            400,
-            error_body("schema name must be a single path segment"),
-        ));
-    }
-    Ok(name)
-}
-
-/// `PUT /v1/data/:schema`: loads a database instance for a registered
-/// schema, either from an explicit bulk spec or a synthetic `gen`
-/// request. The load is generation-stamped against the schema's current
-/// registry generation; oversized loads are a `413`.
-fn handle_put_data(
-    state: &Arc<ServiceState>,
-    req: &Request,
-    tenant: &Arc<Tenant>,
-    obs: &mut ReqObs,
-) -> Reply {
-    let name = match data_name_segment(&req.path) {
-        Ok(n) => n,
-        Err(resp) => return resp,
-    };
-    let key_name = scoped_name(tenant.name(), name);
-    let body = match req.text() {
-        Ok(b) => b,
-        Err(msg) => return Reply::json(400, error_body(msg)),
-    };
-    let parsed: DataPutRequest = match serde_json::from_str(body) {
-        Ok(p) => p,
-        Err(e) => return Reply::json(400, error_body(&format!("bad request body: {e}"))),
-    };
-    let Some(entry) = state.registry.get(&key_name) else {
-        return Reply::json(404, error_body(&format!("no schema named `{name}`")));
-    };
-    // The tenant's quota, when set, tightens (never loosens) the
-    // service-wide load cap.
-    let cap = match tenant.config().max_data_entries {
-        Some(limit) => (limit as usize).min(state.max_data_entries),
-        None => state.max_data_entries,
-    };
-    let explicit = parsed.objects.len() + parsed.links.len() + parsed.attrs.len();
-    let (db, source) = if let Some(gen) = &parsed.gen {
-        if explicit > 0 {
-            return Reply::json(
-                400,
-                error_body("`gen` and explicit objects/links/attrs are mutually exclusive"),
-            );
-        }
-        let projected = gen.projected_objects(&entry.schema);
-        if projected > cap as u64 {
-            return Reply::json(
-                413,
-                error_body(&format!(
-                    "generation would create ~{projected} objects, over the {cap} cap"
-                )),
-            );
-        }
-        let mut gen_span = obs.span.child("data.generate");
-        gen_span.attr("projected_objects", projected);
-        let db = ipe_gen::generate_database(&entry.schema, gen);
-        gen_span.finish();
-        (db, "gen")
-    } else {
-        if explicit > cap {
-            return Reply::json(
-                413,
-                error_body(&format!("spec has {explicit} entries, over the {cap} cap")),
-            );
-        }
-        let mut load_span = obs.span.child("data.load");
-        load_span.attr("entries", explicit as u64);
-        let db = match ipe_query::load(&entry.schema, &parsed.spec()) {
-            Ok(db) => db,
-            Err(e) => return Reply::json(422, error_body(&e.to_string())),
-        };
-        load_span.finish();
-        (db, "spec")
-    };
-    let loaded = state
-        .data
-        .insert(&key_name, entry.id, entry.generation, source, db);
-    ipe_obs::counter!("service.data.put", 1);
-    let response = data_view(&loaded);
-    match serde_json::to_string(&response) {
-        Ok(json) => Reply::json(200, json),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-/// Renders a data entry's summary (PUT and GET share the shape).
-fn data_view(entry: &crate::DataEntry) -> DataPutResponse {
-    DataPutResponse {
-        schema: split_scoped(&entry.schema_name).1.to_owned(),
-        schema_generation: entry.schema_generation,
-        data_generation: entry.data_generation,
-        source: entry.source.to_owned(),
-        objects: entry.db.object_count() as u64,
-        links: entry.db.link_count() as u64,
-        attrs: entry.db.attr_count() as u64,
-    }
-}
-
-/// `GET /v1/data/:schema`: the loaded instance's summary.
-fn handle_get_data(state: &Arc<ServiceState>, req: &Request, tenant: &Arc<Tenant>) -> Reply {
-    let name = match data_name_segment(&req.path) {
-        Ok(n) => n,
-        Err(resp) => return resp,
-    };
-    let Some(entry) = state.data.get(&scoped_name(tenant.name(), name)) else {
-        return Reply::json(404, error_body(&format!("no data loaded for `{name}`")));
-    };
-    match serde_json::to_string(&data_view(&entry)) {
-        Ok(json) => Reply::json(200, json),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-/// `DELETE /v1/data/:schema`: drops the loaded instance.
-fn handle_delete_data(state: &Arc<ServiceState>, req: &Request, tenant: &Arc<Tenant>) -> Reply {
-    let name = match data_name_segment(&req.path) {
-        Ok(n) => n,
-        Err(resp) => return resp,
-    };
-    let Some(entry) = state.data.remove(&scoped_name(tenant.name(), name)) else {
-        return Reply::json(404, error_body(&format!("no data loaded for `{name}`")));
-    };
-    let response = DataDeleteResponse {
-        schema: split_scoped(&entry.schema_name).1.to_owned(),
-        data_generation: entry.data_generation,
-    };
-    match serde_json::to_string(&response) {
-        Ok(json) => Reply::json(200, json),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-/// `POST /v1/query`: disambiguate an incomplete expression (through the
-/// completion cache) and evaluate the top-E completions against the
-/// schema's loaded data, answering with the certain/possible partition
-/// and per-answer provenance.
-///
-/// Error mapping: unknown schema or no loaded data → `404`; data loaded
-/// against an older schema generation → `409`; unparsable body or query →
-/// `400`; already-complete expression at `e > 1`, engine rejections, and
-/// evaluation failures → `422`; deadline or budget exhaustion → `504`.
-fn handle_query(
-    state: &Arc<ServiceState>,
-    req: &Request,
-    tenant: &Arc<Tenant>,
-    obs: &mut ReqObs,
-) -> Reply {
-    ipe_obs::counter!("query.requests", 1);
-    let _t = ipe_obs::timer!("query.request");
-    let body = match req.text() {
-        Ok(b) => b,
-        Err(msg) => return Reply::json(400, error_body(msg)),
-    };
-    let mut parsed: QueryRequest = match serde_json::from_str(body) {
-        Ok(p) => p,
-        Err(e) => return Reply::json(400, error_body(&format!("bad request body: {e}"))),
-    };
-    // Tenant defaults fill only what the request left unset.
-    let tcfg = tenant.config();
-    if parsed.e.is_none() {
-        parsed.e = tcfg.default_e;
-    }
-    if parsed.pruning.is_none() {
-        parsed.pruning = tcfg.default_pruning.clone();
-    }
-    let started = Instant::now();
-    let name = parsed.schema_name();
-    let key_name = scoped_name(tenant.name(), name);
-    let mut lookup_span = obs.span.child("registry.lookup");
-    lookup_span.note(name);
-    let entry = state.registry.get(&key_name);
-    lookup_span.attr("found", entry.is_some() as u64);
-    lookup_span.finish();
-    if let Some(refused) = admit_read(state, name, entry.as_ref(), parsed.min_generation) {
-        return refused;
-    }
-    let Some(entry) = entry else {
-        return Reply::json(404, error_body(&format!("no schema named `{name}`")));
-    };
-    let mut data_span = obs.span.child("data.lookup");
-    let data = state.data.get(&key_name);
-    data_span.attr("found", data.is_some() as u64);
-    data_span.finish();
-    let Some(data) = data else {
-        return Reply::json(
-            404,
-            error_body(&format!(
-                "no data loaded for `{name}`; PUT /v1/data/{name} first"
-            )),
-        );
-    };
-    if data.schema_id != entry.id || data.schema_generation != entry.generation {
-        ipe_obs::counter!("query.stale_data", 1);
-        return Reply::json(
-            409,
-            error_body(&format!(
-                "data for `{name}` was loaded against schema generation {} but the schema is now at generation {}; re-PUT /v1/data/{name}",
-                data.schema_generation, entry.generation
-            )),
-        );
-    }
-    let mut parse_span = obs.span.child("parse");
-    parse_span.note(&parsed.query);
-    let ast = match parse_path_expression(&parsed.query) {
-        Ok(ast) => ast,
-        Err(e) => return Reply::json(400, error_body(&e.to_string())),
-    };
-    parse_span.finish();
-    let cfg = match parsed.config(&entry.schema) {
-        Ok(cfg) => cfg,
-        Err(msg) => return Reply::json(400, error_body(&msg)),
-    };
-    if ast.is_complete() && cfg.e > 1 {
-        return Reply::json(422, error_body(&QueryError::AlreadyComplete.to_string()));
-    }
-    let deadline_ms = parsed
-        .deadline_ms
-        .or(tcfg.deadline_ms)
-        .unwrap_or(state.query_deadline_ms)
-        .min(MAX_QUERY_DEADLINE_MS);
-    let deadline = (deadline_ms > 0).then(|| started + Duration::from_millis(deadline_ms));
-    // The completion phase shares the completion cache with
-    // POST /v1/complete: same key, same entries, so a warm query reuses
-    // the completion set and cold/warm answers are identical by
-    // construction.
-    let normalized = ast.to_string();
-    let key = CacheKey {
-        schema_id: entry.id,
-        generation: entry.generation,
-        query: normalized.clone(),
-        fingerprint: config_fingerprint(&cfg),
-    };
-    let cache = state.caches.partition(tenant.name());
-    let mut probe_span = obs.span.child("cache.probe");
-    let probe = cache.get(&key);
-    probe_span.attr("hit", probe.is_some() as u64);
-    probe_span.finish();
-    let e = cfg.e as u64;
-    let (outcome, cached) = match probe {
-        Some(hit) => (hit, true),
-        None => {
-            let mut engine = Completer::with_config(&entry.schema, cfg);
-            let indexed = entry
-                .index()
-                .map(|ix| engine.attach_index(ix))
-                .unwrap_or(false);
-            state.count_complete(indexed);
-            let mut search_span = obs.span.child("search");
-            search_span.attr("indexed", indexed as u64);
-            let limits = SearchLimits {
-                deadline,
-                span: search_span.handle(),
-                ..SearchLimits::default()
-            };
-            match engine.complete_bounded(&ast, &limits) {
-                Ok(outcome) => {
-                    search_span.attr("calls", outcome.stats.calls);
-                    search_span.finish();
-                    obs.absorb_stats(&outcome.stats);
-                    let weight = entry_weight(&key, &outcome);
-                    let outcome = Arc::new(outcome);
-                    cache.insert_weighted(key, Arc::clone(&outcome), weight);
-                    (outcome, false)
-                }
-                Err(CompleteError::DeadlineExceeded) => {
-                    ipe_obs::counter!("query.deadline_exceeded", 1);
-                    return Reply::json(504, error_body("query deadline exceeded during search"));
-                }
-                Err(e) => return Reply::json(422, error_body(&e.to_string())),
-            }
-        }
-    };
-    obs.cache_hit = Some(cached);
-    let eval_limits = EvalLimits {
-        deadline,
-        ..EvalLimits::default()
-    };
-    let mut eval_span = obs.span.child("evaluate");
-    eval_span.attr("completions", outcome.completions.len() as u64);
-    let merged = match evaluate_completions(&data.db, &outcome.completions, &eval_limits) {
-        Ok(m) => m,
-        Err(err) if ipe_query::is_deadline(&err) => {
-            ipe_obs::counter!("query.deadline_exceeded", 1);
-            return Reply::json(504, error_body(&err.to_string()));
-        }
-        Err(err) => return Reply::json(422, error_body(&err.to_string())),
-    };
-    eval_span.attr("possible", merged.possible() as u64);
-    eval_span.attr("certain", merged.certain as u64);
-    eval_span.finish();
-    let certain = merged.certain as u64;
-    let possible = merged.possible() as u64;
-    let visited = merged.visited;
-    let answers = merged
-        .answers
-        .iter()
-        .filter(|a| a.certain || !parsed.certain_only)
-        .map(answer_view)
-        .collect();
-    let duration_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    let response = QueryResponse {
-        schema: split_scoped(&entry.name).1.to_owned(),
-        generation: entry.generation,
-        data_generation: data.data_generation,
-        query: normalized,
-        e,
-        cached,
-        duration_ns,
-        completions: completion_views(&entry.schema, &outcome),
-        answers,
-        certain,
-        possible,
-        visited,
-        stats: outcome.stats,
-    };
-    match serde_json::to_string(&response) {
-        Ok(json) => Reply::json(200, json),
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-/// Renders one provenance-annotated answer into wire form.
-fn answer_view(a: &ipe_query::ProvenanceAnswer) -> AnswerView {
-    let (kind, object, value) = match &a.answer {
-        Answer::Object(o) => ("object", Some(o.0 as u64), None),
-        Answer::Value(v) => ("value", None, Some(v.to_string())),
-    };
-    AnswerView {
-        kind: kind.to_owned(),
-        object,
-        value,
-        certain: a.certain,
-        completions: a.completions.iter().map(|&i| i as u64).collect(),
-    }
-}
-
-/// Builds the `/metrics` body: the standard `ipe-obs` [`Report`] (global
-/// counters and timers, including `service.cache.*` and
-/// `service.request`) extended with a `service` section of live gauges.
-///
-/// [`Report`]: ipe_obs::Report
-pub fn metrics_json(state: &ServiceState) -> String {
-    let mut report = ipe_obs::Report::new();
-    report.meta("component", "ipe-service");
-    report.capture_metrics();
-    attach_service_gauges(&mut report, serde_json::to_string(&state.metrics_view()));
-    report.to_json()
-}
-
-/// Attaches the serialized `service` gauge section to a metrics report.
-/// A serialization failure must not silently drop the section — the
-/// scrape keeps its shape and carries an explicit error instead.
-fn attach_service_gauges(report: &mut ipe_obs::Report, gauges: Result<String, serde_json::Error>) {
-    match gauges {
-        Ok(json) => report.attach_json("service", json),
-        Err(e) => report.attach_json(
-            "service",
-            error_body(&format!("service gauges unavailable: {e}")),
-        ),
-    };
-}
-
-/// Builds the `/metrics?format=prometheus` body: every registered
-/// counter and log2-bucket timer as Prometheus `counter`/`histogram`
-/// families (with derived p50/p95/p99 quantile gauges), plus the live
-/// service gauges.
-pub fn metrics_prometheus(state: &ServiceState) -> String {
-    use ipe_obs::prom::Gauge;
-    let m = state.metrics_view();
-    let mut gauges = vec![
-        Gauge::new(
-            "service.cache.entries",
-            "Live entries in the completion cache.",
-            m.cache.entries as f64,
-        ),
-        Gauge::new(
-            "service.cache.bytes",
-            "Approximate bytes held by completion-cache entries.",
-            m.cache.bytes as f64,
-        ),
-        Gauge::new(
-            "service.workers",
-            "Reactor threads serving requests.",
-            m.workers as f64,
-        ),
-        Gauge::new(
-            "service.queue_depth",
-            "Connections held live across all reactors right now.",
-            m.queue_depth as f64,
-        ),
-        Gauge::new(
-            "service.schemas",
-            "Schemas registered in the service.",
-            m.schemas as f64,
-        ),
-        Gauge::new(
-            "service.data.loaded",
-            "Data instances loaded in the service.",
-            m.data_sets as f64,
-        ),
-        Gauge::new(
-            "service.wal_last_seq",
-            "Last durable WAL sequence number (0 when not durable).",
-            m.wal_last_seq as f64,
-        ),
-        Gauge::new(
-            "service.index.builds_completed",
-            "Closure index builds finished since startup.",
-            m.index.builds_completed as f64,
-        ),
-        Gauge::new(
-            "service.index.builds_in_flight",
-            "Closure index builds currently running.",
-            m.index.builds_in_flight as f64,
-        ),
-        Gauge::new(
-            "service.flight.recorded",
-            "Request traces retained in the flight recorder.",
-            state.flight.recorded() as f64,
-        ),
-    ];
-    if m.repl.role != "none" {
-        gauges.push(Gauge::new(
-            "service.repl.lag_seq",
-            "WAL records the replica is behind the leader (0 on a leader).",
-            m.repl.lag_seq as f64,
-        ));
-        gauges.push(Gauge::new(
-            "service.repl.lag_ms",
-            "Milliseconds since the replica was last level with the leader.",
-            m.repl.lag_ms as f64,
-        ));
-        gauges.push(Gauge::new(
-            "service.repl.streams_active",
-            "Replication streams this leader is serving right now.",
-            m.repl.streams_active as f64,
-        ));
-        gauges.push(Gauge::new(
-            "service.repl.connected",
-            "Whether the follower's stream connection is up (1/0).",
-            m.repl.connected as u64 as f64,
-        ));
-    }
-    // Per-tenant families. The exposition layer has no label support, so
-    // the tenant name is embedded in the metric name (tenant names are
-    // `[a-z0-9_-]`, which mangles losslessly): `ipe_tenant_<name>_<what>`.
-    for t in &m.tenants {
-        let name = &t.tenant;
-        gauges.push(Gauge::new(
-            format!("tenant.{name}.admitted"),
-            "Requests admitted past this tenant's rate quota.",
-            t.admitted as f64,
-        ));
-        gauges.push(Gauge::new(
-            format!("tenant.{name}.throttled"),
-            "Requests bounced 429 by this tenant's rate quota.",
-            t.throttled as f64,
-        ));
-        gauges.push(Gauge::new(
-            format!("tenant.{name}.busy"),
-            "Requests bounced 429 by this tenant's concurrent-search cap.",
-            t.busy as f64,
-        ));
-        gauges.push(Gauge::new(
-            format!("tenant.{name}.searches"),
-            "Engine searches this tenant has executed.",
-            t.searches as f64,
-        ));
-        gauges.push(Gauge::new(
-            format!("tenant.{name}.in_flight"),
-            "Searches in flight for this tenant right now.",
-            t.in_flight as f64,
-        ));
-        gauges.push(Gauge::new(
-            format!("tenant.{name}.cache.entries"),
-            "Live entries in this tenant's cache partition.",
-            t.cache.entries as f64,
-        ));
-        gauges.push(Gauge::new(
-            format!("tenant.{name}.cache.bytes"),
-            "Approximate bytes held by this tenant's cache partition.",
-            t.cache.bytes as f64,
-        ));
-        gauges.push(Gauge::new(
-            format!("tenant.{name}.cache.budget_bytes"),
-            "Byte budget of this tenant's cache partition (0 = none).",
-            t.cache_budget_bytes as f64,
-        ));
-    }
-    ipe_obs::prom::render(&gauges)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The vendored `serde_json` serializer never actually fails, so the
-    /// error branch of the gauge attachment is exercised with an error
-    /// manufactured from the parser.
-    #[test]
-    fn metrics_report_carries_explicit_error_when_gauges_fail() {
-        let err = serde_json::from_str::<u64>("not a number").unwrap_err();
-        let mut report = ipe_obs::Report::new();
-        attach_service_gauges(&mut report, Err(err));
-        let json = report.to_json();
-        assert!(
-            json.contains("service gauges unavailable"),
-            "error must be visible in the report: {json}"
-        );
-        assert!(
-            json.contains("\"service\""),
-            "the service section must keep its shape: {json}"
-        );
-    }
-
-    #[test]
-    fn metrics_report_embeds_gauges_on_success() {
-        let mut report = ipe_obs::Report::new();
-        attach_service_gauges(&mut report, Ok("{\"workers\": 4}".to_owned()));
-        let json = report.to_json();
-        assert!(json.contains("\"workers\": 4"), "{json}");
-    }
-
-    /// Route labels cover every endpoint family; unknown paths fall into
-    /// `other` rather than panicking or mislabeling.
-    #[test]
-    fn route_labels() {
-        let req = |method: &str, path: &str| Request {
-            method: method.to_owned(),
-            path: path.to_owned(),
-            query: String::new(),
-            params: Vec::new(),
-            trace_id: None,
-            keep_alive: true,
-            body: Vec::new(),
-        };
-        assert_eq!(route_label(&req("POST", "/v1/complete")), "complete");
-        assert_eq!(route_label(&req("POST", "/v1/complete/batch")), "batch");
-        assert_eq!(route_label(&req("GET", "/v1/schemas")), "schemas");
-        assert_eq!(route_label(&req("PUT", "/v1/schemas/x")), "schemas");
-        assert_eq!(route_label(&req("GET", "/healthz")), "healthz");
-        assert_eq!(route_label(&req("GET", "/readyz")), "readyz");
-        assert_eq!(route_label(&req("GET", "/v1/repl/stream")), "repl");
-        assert_eq!(route_label(&req("GET", "/v1/repl/status")), "repl");
-        assert_eq!(route_label(&req("GET", "/metrics")), "metrics");
-        assert_eq!(route_label(&req("GET", "/v1/debug/requests")), "debug");
-        assert_eq!(route_label(&req("GET", "/v1/debug/requests/abc")), "debug");
-        assert_eq!(route_label(&req("POST", "/v1/shutdown")), "shutdown");
-        assert_eq!(route_label(&req("GET", "/nope")), "other");
-    }
 }

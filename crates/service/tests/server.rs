@@ -829,6 +829,20 @@ fn prometheus_exposition_lints_and_reports_cache_bytes() {
         .expect("numeric sample");
     assert!(value > 0.0, "{bytes_line}");
 
+    // Per-tenant gauges are one family each, labelled by tenant, not a
+    // family per tenant with the name mangled in.
+    assert!(
+        resp.body
+            .contains("ipe_tenant_admitted{tenant=\"default\"} "),
+        "{}",
+        resp.body
+    );
+    assert!(
+        !resp.body.contains("ipe_tenant_default_admitted"),
+        "{}",
+        resp.body
+    );
+
     // JSON stays the default and reports the same gauge.
     let (status, body) = client.request("GET", "/metrics", "").unwrap();
     assert_eq!(status, 200);

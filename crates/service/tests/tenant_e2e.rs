@@ -160,6 +160,32 @@ fn tenant_namespaces_isolate_schemas_and_data() {
 /// envelope (`retryable`, `retry_after_ms`, `tenant`) and a `Retry-After`
 /// header; the caught-up replica `409` carries `retryable: false` and no
 /// hint, while a lagging replica's carries both.
+/// Only the data plane is tenant-scoped: control-plane routes have no
+/// `/v1/t/:tenant/` alias, so a scoped shutdown is a 404 and the server
+/// keeps serving.
+#[test]
+fn control_plane_has_no_tenant_scoped_alias() {
+    let (server, mut c) = server(None);
+    for (method, path) in [
+        ("POST", "/v1/t/default/shutdown"),
+        ("GET", "/v1/t/default/tenants"),
+        ("PUT", "/v1/t/default/tenants/x"),
+        ("GET", "/v1/t/default/repl/status"),
+        ("GET", "/v1/t/default/debug/requests"),
+    ] {
+        let (status, body) = c.request(method, path, "").unwrap();
+        assert_eq!(status, 404, "{method} {path}: {body}");
+    }
+    let (status, body) = c.request("GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = c.request("GET", "/v1/tenants/x", "").unwrap();
+    assert_eq!(
+        status, 404,
+        "the scoped PUT must not have created a tenant: {body}"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn retry_envelopes_are_machine_readable() {
     let (quota_srv, mut c) = server(None);

@@ -78,6 +78,21 @@ cargo test -q -p ipe-store --test migration
 echo "== replication kill -9 catch-up smoke =="
 ./target/release/repl_bench --kill9-smoke
 
+echo "== benchmark smoke =="
+# Catches a service API or /metrics change that breaks the benchmark's
+# build or its answer checks. perfbench exits 0 even when its checks fail,
+# so the verdict is read from its result line.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+for run in "schema_churn 31" "warm_complete 909373543"; do
+  set -- $run
+  result="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$1" --seed "$2" --seconds 3 --trace 0)"
+  if ! grep -q '"correct": true' <<<"$result"; then
+    echo "error: perfbench $1 seed $2 answered incorrectly: $result" >&2
+    exit 1
+  fi
+done
+
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
