@@ -2,7 +2,7 @@
 //! translation from a [`CompleteRequest`] into an engine
 //! [`CompletionConfig`].
 
-use ipe_core::{CompletionConfig, Pruning, SearchStats};
+use ipe_core::{CompletionConfig, Pruning, SearchOutcome, SearchStats};
 use ipe_schema::Schema;
 
 /// Body of `POST /v1/complete`. Only `query` is required; everything else
@@ -208,7 +208,26 @@ pub struct CompletionView {
     pub edges: u64,
 }
 
+/// Renders a search outcome's completions into wire form.
+pub(crate) fn completion_views(schema: &Schema, outcome: &SearchOutcome) -> Vec<CompletionView> {
+    outcome
+        .completions
+        .iter()
+        .map(|c| CompletionView {
+            text: c.display(schema).to_string(),
+            connector: c.label.connector.to_string(),
+            semlen: c.label.semlen as u64,
+            edges: c.edges.len() as u64,
+        })
+        .collect()
+}
+
 /// Body of a successful `POST /v1/complete` response.
+///
+/// The server writes this body in two pieces: the first five fields per
+/// request and the last two cached with the completion set
+/// ([`CachedReply`](crate::cache::CachedReply)), so `completions` and
+/// `stats` must stay last.
 #[derive(Debug, serde::Serialize)]
 pub struct CompleteResponse {
     /// Registry name the completion ran against.
@@ -220,15 +239,55 @@ pub struct CompleteResponse {
     /// Whether the result came from the completion cache.
     pub cached: bool,
     /// Server-side compute time in nanoseconds: registry lookup, parse,
-    /// cache probe, and (on a miss) the full search. Excludes HTTP and
-    /// JSON framing, so cold-vs-warm comparisons measure the engine, not
-    /// the socket.
+    /// cache probe, and (on a miss) the full search and the one-time
+    /// encoding of the completions it caches. Excludes HTTP framing and
+    /// the per-request part of the body, so cold-vs-warm comparisons
+    /// measure the engine, not the socket.
     pub duration_ns: u64,
     /// The optimal completions, best first.
     pub completions: Vec<CompletionView>,
     /// Search counters of the run that produced the result (cached
     /// responses repeat the original run's counters).
     pub stats: SearchStats,
+}
+
+impl CompleteResponse {
+    /// The body up to and including the comma before `completions`:
+    /// the per-request fields, written with the serializer's own string
+    /// escaping. [`CompleteResponse::encode_tail`] finishes it.
+    pub(crate) fn encode_head(
+        schema: &str,
+        generation: u64,
+        query: &str,
+        cached: bool,
+        duration_ns: u64,
+    ) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::with_capacity(96 + schema.len() + query.len());
+        out.push_str("{\"schema\":");
+        serde_json::write_escaped(&mut out, schema);
+        let _ = write!(out, ",\"generation\":{generation},\"query\":");
+        serde_json::write_escaped(&mut out, query);
+        let _ = write!(out, ",\"cached\":{cached},\"duration_ns\":{duration_ns},");
+        out
+    }
+
+    /// The body's last two fields and closing brace,
+    /// `"completions":[…],"stats":{…}}`, encoded by serializing just
+    /// those fields — the bytes a whole-response serialization writes.
+    pub(crate) fn encode_tail(schema: &Schema, outcome: &SearchOutcome) -> String {
+        #[derive(serde::Serialize)]
+        struct Tail {
+            completions: Vec<CompletionView>,
+            stats: SearchStats,
+        }
+        let tail = Tail {
+            completions: completion_views(schema, outcome),
+            stats: outcome.stats,
+        };
+        let json = serde_json::to_string(&tail).expect("the vendored serializer is infallible");
+        json.strip_prefix('{').unwrap_or(&json).to_owned()
+    }
 }
 
 /// Body of `PUT /v1/schemas/:name` responses.

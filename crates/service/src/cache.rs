@@ -12,13 +12,19 @@
 //! approximate heap weight, and a shard evicts least-recently-used
 //! entries until the declared bytes fit the shard's budget (an entry
 //! cap remains as a secondary backstop for zero-weight inserts). Each
-//! tenant owns a private [`CompletionCache`] inside
+//! tenant owns a private [`ReplyCache`] inside
 //! [`CachePartitions`], so one tenant's churn can never push another
 //! tenant's warm entries out.
 //!
+//! The service caches a [`CachedReply`]: the outcome together with its
+//! reply fragment, encoded once at insert, so a hit answers
+//! `POST /v1/complete` by splicing stored bytes instead of re-encoding.
+//!
 //! [`purge_schema`]: ShardedLru::purge_schema
 
+use crate::api::CompleteResponse;
 use ipe_core::{CompletionConfig, Pruning, SearchOutcome};
+use ipe_schema::Schema;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,18 +84,47 @@ pub struct CacheStats {
     pub bytes: u64,
 }
 
+/// One cached completion set: the search outcome (which `/v1/query`
+/// evaluates) and the tail of its `/v1/complete` reply body, encoded
+/// once when the entry is made.
+#[derive(Debug)]
+pub struct CachedReply {
+    /// The memoized search outcome.
+    pub outcome: SearchOutcome,
+    /// `"completions":[…],"stats":{…}}` — the serialized
+    /// [`CompleteResponse`] from its `completions` field to the closing
+    /// brace.
+    pub fragment: String,
+}
+
+impl CachedReply {
+    /// Pairs `outcome` with its fragment, its completions rendered
+    /// against `schema`.
+    pub fn new(schema: &Schema, outcome: SearchOutcome) -> CachedReply {
+        CachedReply {
+            fragment: CompleteResponse::encode_tail(schema, &outcome),
+            outcome,
+        }
+    }
+}
+
 /// Approximate heap footprint of one completion-cache entry: the key's
-/// inline size plus its query string, and the outcome's completion
-/// vectors. An estimate for the `cache.bytes` gauge, not an allocator
-/// measurement.
-pub fn entry_weight(key: &CacheKey, outcome: &SearchOutcome) -> usize {
+/// inline size plus its query string, the outcome's completion vectors,
+/// and the encoded reply fragment. An estimate for the `cache.bytes`
+/// gauge, not an allocator measurement.
+pub fn entry_weight(key: &CacheKey, reply: &CachedReply) -> usize {
     use std::mem::size_of;
-    let completions: usize = outcome
+    let completions: usize = reply
+        .outcome
         .completions
         .iter()
         .map(|c| size_of::<ipe_core::Completion>() + c.edges.len() * size_of::<ipe_schema::RelId>())
         .sum();
-    size_of::<CacheKey>() + key.query.len() + size_of::<SearchOutcome>() + completions
+    size_of::<CacheKey>()
+        + key.query.len()
+        + size_of::<CachedReply>()
+        + completions
+        + reply.fragment.len()
 }
 
 /// Sentinel for "no node" in the intrusive lists.
@@ -269,7 +304,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
 /// A sharded LRU cache: keys are hashed onto one of `shards` independent
 /// mutex-protected LRU maps, so concurrent lookups on different shards
 /// never contend. Values are cheap clones (the service stores
-/// `Arc<SearchOutcome>`).
+/// `Arc<CachedReply>`).
 pub struct ShardedLru<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     /// Per-shard capacity; total capacity is `shards.len() * per_shard`.
@@ -283,8 +318,13 @@ pub struct ShardedLru<K, V> {
     evictions: AtomicU64,
 }
 
-/// The service's concrete cache type: memoized completion outcomes.
+/// A cache of bare completion outcomes, for embedders that encode
+/// their own replies.
 pub type CompletionCache = ShardedLru<CacheKey, Arc<SearchOutcome>>;
+
+/// The service's concrete cache type: outcomes with their pre-encoded
+/// reply fragments.
+pub type ReplyCache = ShardedLru<CacheKey, Arc<CachedReply>>;
 
 impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     /// A cache of roughly `capacity` entries over `shards` shards (both
@@ -409,7 +449,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     }
 }
 
-impl CompletionCache {
+impl<V: Clone> ShardedLru<CacheKey, V> {
     /// Eagerly drops every entry belonging to `schema_id` (all
     /// generations). Generation keying already guarantees correctness on
     /// hot-swap; this frees the dead entries' memory immediately. Returns
@@ -422,13 +462,30 @@ impl CompletionCache {
     }
 }
 
+impl ReplyCache {
+    /// Encodes `outcome` once (see [`CachedReply::new`]) and caches it
+    /// under `key`, weighted by [`entry_weight`]. Returns the entry, so
+    /// a miss answers from the same bytes later hits will.
+    pub fn insert_reply(
+        &self,
+        key: CacheKey,
+        schema: &Schema,
+        outcome: SearchOutcome,
+    ) -> Arc<CachedReply> {
+        let reply = Arc::new(CachedReply::new(schema, outcome));
+        let weight = entry_weight(&key, &reply);
+        self.insert_weighted(key, Arc::clone(&reply), weight);
+        reply
+    }
+}
+
 /// Per-tenant completion-cache partitions. Every tenant gets a private
-/// [`CompletionCache`] with its own byte budget, so cache pressure
+/// [`ReplyCache`] with its own byte budget, so cache pressure
 /// never crosses tenant boundaries: a noisy tenant churning its
 /// partition evicts only its own entries. The `default` tenant's
 /// partition is created eagerly and never dropped.
 pub struct CachePartitions {
-    inner: RwLock<HashMap<String, Arc<CompletionCache>>>,
+    inner: RwLock<HashMap<String, Arc<ReplyCache>>>,
     /// Entry capacity of each partition (the zero-weight backstop).
     capacity: usize,
     /// Shard count of each partition.
@@ -453,14 +510,14 @@ impl CachePartitions {
         parts
     }
 
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, Arc<CompletionCache>>> {
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, Arc<ReplyCache>>> {
         self.inner.read().unwrap_or_else(|poisoned| {
             ipe_obs::counter!("service.lock.poison_recovered", 1);
             poisoned.into_inner()
         })
     }
 
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<String, Arc<CompletionCache>>> {
+    fn write(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<String, Arc<ReplyCache>>> {
         self.inner.write().unwrap_or_else(|poisoned| {
             ipe_obs::counter!("service.lock.poison_recovered", 1);
             poisoned.into_inner()
@@ -470,7 +527,7 @@ impl CachePartitions {
     /// Gets (or creates) `tenant`'s partition, applying `budget_bytes`
     /// (0 = the partition-set default). An existing partition is
     /// re-budgeted in place, entries intact.
-    pub fn ensure(&self, tenant: &str, budget_bytes: u64) -> Arc<CompletionCache> {
+    pub fn ensure(&self, tenant: &str, budget_bytes: u64) -> Arc<ReplyCache> {
         let budget = if budget_bytes > 0 {
             budget_bytes
         } else {
@@ -485,7 +542,7 @@ impl CachePartitions {
             cache.set_byte_budget(budget);
             return Arc::clone(cache);
         }
-        let cache = Arc::new(CompletionCache::with_byte_budget(
+        let cache = Arc::new(ReplyCache::with_byte_budget(
             self.capacity,
             self.shards,
             budget,
@@ -497,7 +554,7 @@ impl CachePartitions {
     /// The partition serving `tenant`. Unknown tenants fall back to a
     /// fresh default-budget partition (requests for a tenant created on
     /// the leader may reach a follower before its registry row does).
-    pub fn partition(&self, tenant: &str) -> Arc<CompletionCache> {
+    pub fn partition(&self, tenant: &str) -> Arc<ReplyCache> {
         if let Some(cache) = self.read().get(tenant) {
             return Arc::clone(cache);
         }
@@ -516,7 +573,7 @@ impl CachePartitions {
         if tenant == ipe_tenant::DEFAULT_TENANT {
             map.insert(
                 tenant.to_owned(),
-                Arc::new(CompletionCache::with_byte_budget(
+                Arc::new(ReplyCache::with_byte_budget(
                     self.capacity,
                     self.shards,
                     cache.byte_budget(),
@@ -571,6 +628,13 @@ mod tests {
             generation: 1,
             query: q.to_owned(),
             fingerprint: 0,
+        }
+    }
+
+    fn empty() -> SearchOutcome {
+        SearchOutcome {
+            completions: Vec::new(),
+            stats: Default::default(),
         }
     }
 
@@ -632,14 +696,10 @@ mod tests {
         cache.insert_weighted(key("c"), 4, 7);
         assert_eq!(cache.bytes(), 47);
         // Purge releases everything for the schema.
-        let full: CompletionCache = ShardedLru::new(8, 2);
-        let outcome = Arc::new(SearchOutcome {
-            completions: Vec::new(),
-            stats: Default::default(),
-        });
-        let w = entry_weight(&key("q"), &outcome);
+        let full: ReplyCache = ShardedLru::new(8, 2);
+        let reply = full.insert_reply(key("q"), &ipe_schema::fixtures::university(), empty());
+        let w = entry_weight(&key("q"), &reply);
         assert!(w > 0, "weight counts at least the key and outcome headers");
-        full.insert_weighted(key("q"), outcome, w);
         assert_eq!(full.bytes(), w as u64);
         full.purge_schema(1);
         assert_eq!(full.bytes(), 0);
@@ -674,6 +734,35 @@ mod tests {
         assert_eq!(cache.get(&key("big")), Some(6));
         assert_eq!(cache.get(&key("medium")), None);
         assert!(cache.bytes() <= 100);
+
+        // A cached reply weighs its encoded fragment too: a budget that
+        // fits the outcome alone refuses the entry.
+        let schema = ipe_schema::fixtures::university();
+        let ast = ipe_parser::parse_path_expression("ta~name").unwrap();
+        let outcome = ipe_core::Completer::new(&schema)
+            .complete_with_stats(&ast)
+            .unwrap();
+        let reply = CachedReply::new(&schema, outcome.clone());
+        let weight = entry_weight(&key("ta~name"), &reply);
+        let fragment = reply.fragment.len();
+        assert!(fragment > 100, "two completions encode to {fragment} bytes");
+        let outcome_only = (weight - fragment) as u64;
+        let tight = ReplyCache::with_byte_budget(16, 1, outcome_only);
+        tight.insert_reply(key("ta~name"), &schema, outcome.clone());
+        assert!(
+            tight.is_empty(),
+            "the fragment pushes the entry past the budget"
+        );
+        let exact = ReplyCache::with_byte_budget(16, 1, weight as u64);
+        exact.insert_reply(key("ta~name"), &schema, outcome.clone());
+        assert_eq!(exact.bytes(), weight as u64);
+        // Without a budget the entry cap alone bounds the cache.
+        let unbudgeted = ReplyCache::new(16, 1);
+        for i in 0..16 {
+            unbudgeted.insert_reply(key(&format!("q{i}")), &schema, outcome.clone());
+        }
+        assert_eq!(unbudgeted.len(), 16);
+        assert_eq!(unbudgeted.stats().evictions, 0);
     }
 
     #[test]
@@ -681,10 +770,10 @@ mod tests {
         let parts = CachePartitions::new(1024, 1, 100);
         let quiet = parts.ensure("quiet", 0);
         let noisy = parts.ensure("noisy", 0);
-        let outcome = Arc::new(SearchOutcome {
-            completions: Vec::new(),
-            stats: Default::default(),
-        });
+        let outcome = Arc::new(CachedReply::new(
+            &ipe_schema::fixtures::university(),
+            empty(),
+        ));
         quiet.insert_weighted(key("warm"), outcome.clone(), 60);
         // The noisy tenant churns far past its own budget...
         for i in 0..50 {
@@ -718,10 +807,7 @@ mod tests {
     #[test]
     fn purge_drops_only_the_given_schema() {
         let cache: CompletionCache = ShardedLru::new(16, 4);
-        let outcome = Arc::new(SearchOutcome {
-            completions: Vec::new(),
-            stats: Default::default(),
-        });
+        let outcome = Arc::new(empty());
         cache.insert(key("a"), outcome.clone());
         let mut other = key("b");
         other.schema_id = 2;

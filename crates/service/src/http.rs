@@ -283,8 +283,8 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Renders one response (status line, headers, body) into wire bytes.
-/// This is the single serialization point shared by the reactor's
-/// in-memory write buffers and the blocking [`write_response`] helpers.
+/// A wrapper over [`render_response_into`] for callers without a buffer
+/// of their own.
 pub fn render_response(
     status: u16,
     content_type: &str,
@@ -292,7 +292,32 @@ pub fn render_response(
     keep_alive: bool,
     extra_headers: &[(&str, &str)],
 ) -> Vec<u8> {
-    use std::fmt::Write as _;
+    let mut out = Vec::with_capacity(body.len() + 160);
+    render_response_into(
+        &mut out,
+        status,
+        content_type,
+        &[body.as_bytes()],
+        keep_alive,
+        extra_headers,
+    );
+    out
+}
+
+/// Appends one response to `out`: the head, then the body given as
+/// `parts` written back to back (`Content-Length` is their total). This
+/// is the single serialization point shared by the reactor's write
+/// buffers and the blocking [`write_response`] helpers; a body kept in
+/// pieces (a per-request prefix and a cached tail) is copied once,
+/// straight into `out`.
+pub fn render_response_into(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &str,
+    parts: &[&[u8]],
+    keep_alive: bool,
+    extra_headers: &[(&str, &str)],
+) {
     let reason = match status {
         200 => "OK",
         201 => "Created",
@@ -310,18 +335,21 @@ pub fn render_response(
         504 => "Gateway Timeout",
         _ => "Internal Server Error",
     };
-    let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        body.len(),
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    out.reserve(len + 160);
+    // Writes into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {len}\r\nConnection: {}\r\n",
         if keep_alive { "keep-alive" } else { "close" },
     );
     for (name, value) in extra_headers {
-        let _ = write!(head, "{name}: {value}\r\n");
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-    head.push_str("\r\n");
-    let mut out = head.into_bytes();
-    out.extend_from_slice(body.as_bytes());
-    out
+    out.extend_from_slice(b"\r\n");
+    for part in parts {
+        out.extend_from_slice(part);
+    }
 }
 
 /// Writes one response with a JSON (or plain-text) body.

@@ -7,10 +7,11 @@
 //!
 //! * a [`SchemaRegistry`] of named, versioned schemas behind `Arc` with
 //!   atomic hot-swap on reload;
-//! * a sharded LRU [`CompletionCache`] memoizing
-//!   [`Completer::complete_with_stats`](ipe_core::Completer) results,
-//!   keyed by `(schema id, generation, normalized query, config
-//!   fingerprint)` so schema reloads invalidate by construction;
+//! * a sharded LRU [`ReplyCache`](cache::ReplyCache) memoizing
+//!   [`Completer::complete_with_stats`](ipe_core::Completer) results
+//!   together with their encoded reply fragment, keyed by `(schema id,
+//!   generation, normalized query, config fingerprint)` so schema
+//!   reloads invalidate by construction;
 //! * a std-only HTTP/1.1 front end ([`Server`]) — per-core epoll
 //!   reactors over `SO_REUSEPORT` acceptor shards, per-connection state
 //!   machines with pipelining-safe framing, bounded live connections

@@ -19,7 +19,7 @@
 //! number. Index sidecars are rebuilt off the apply path by the ordinary
 //! background build machinery.
 
-use crate::server::{lock_recover, spawn_index_build, ServiceState};
+use crate::server::{lock_recover, push_reaped, spawn_index_build, ServiceState};
 use ipe_repl::{Backoff, ClientError, ReplClient, ReplEvent, SubEvent, REPL_MAGIC};
 use ipe_schema::Schema;
 use ipe_store::{Snapshot, WalOp, WalRecord};
@@ -194,7 +194,7 @@ pub(crate) fn spawn_leader_stream(
             st.repl_streams_active.fetch_sub(1, Ordering::SeqCst);
         });
     match spawn {
-        Ok(handle) => lock_recover(&state.repl_threads, "repl threads").push(handle),
+        Ok(handle) => push_reaped(&state.repl_threads, "repl threads", handle),
         Err(e) => {
             ipe_obs::counter!("repl.stream.spawn_failed", 1);
             eprintln!("ipe-service: failed to spawn replication stream: {e}");

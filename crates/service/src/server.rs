@@ -32,7 +32,7 @@ mod tenants;
 pub(crate) use dispatch::{handle_request_catching, Reply};
 pub use ops::{metrics_json, metrics_prometheus};
 
-use crate::cache::{config_fingerprint, entry_weight, CacheKey, CachePartitions};
+use crate::cache::{config_fingerprint, CacheKey, CachePartitions};
 use crate::data::DataRegistry;
 use crate::epoll::Wake;
 use crate::reactor::{reactor_loop, ReactorConfig};
@@ -219,13 +219,22 @@ const WARMUP_REPLAY_DEADLINE: Duration = Duration::from_secs(2);
 /// pairs, feeding the warmup journal. Recording uses `try_lock`: under
 /// contention a sample is simply dropped — warmth is advisory.
 pub struct WarmupTracker {
-    inner: Mutex<HashMap<(String, String), u64>>,
+    inner: Mutex<WarmupCounts>,
+}
+
+/// Hit counts keyed schema-first, so a repeat key is found with the
+/// borrowed strings and only a first sighting allocates.
+#[derive(Default)]
+struct WarmupCounts {
+    by_schema: HashMap<String, HashMap<String, u64>>,
+    /// Distinct `(schema, query)` keys across `by_schema`.
+    keys: usize,
 }
 
 impl WarmupTracker {
     fn new() -> WarmupTracker {
         WarmupTracker {
-            inner: Mutex::new(HashMap::new()),
+            inner: Mutex::new(WarmupCounts::default()),
         }
     }
 
@@ -234,36 +243,68 @@ impl WarmupTracker {
         // `try_lock` must distinguish contention (drop the sample) from
         // poisoning (recover the map): treating both as "skip" would turn
         // one panic into a permanently frozen warmup journal.
-        let mut map = match self.inner.try_lock() {
-            Ok(map) => map,
+        let mut counts = match self.inner.try_lock() {
+            Ok(counts) => counts,
             Err(TryLockError::Poisoned(poisoned)) => {
                 ipe_obs::counter!("service.lock.poison_recovered", 1);
                 poisoned.into_inner()
             }
             Err(TryLockError::WouldBlock) => return,
         };
-        let key = (schema.to_owned(), query.to_owned());
-        if let Some(n) = map.get_mut(&key) {
+        let counts = &mut *counts;
+        if let Some(n) = counts
+            .by_schema
+            .get_mut(schema)
+            .and_then(|q| q.get_mut(query))
+        {
             *n += 1;
-        } else if map.len() < WARMUP_TRACK_CAP {
-            map.insert(key, 1);
+        } else if counts.keys < WARMUP_TRACK_CAP {
+            let queries = counts.by_schema.entry(schema.to_owned()).or_default();
+            queries.insert(query.to_owned(), 1);
+            counts.keys += 1;
         }
     }
 
     /// The hottest `k` keys, descending.
     pub fn top_k(&self, k: usize) -> Vec<WarmupEntry> {
-        let map = lock_recover(&self.inner, "warmup tracker");
-        let mut entries: Vec<WarmupEntry> = map
+        let counts = lock_recover(&self.inner, "warmup tracker");
+        let mut entries: Vec<WarmupEntry> = counts
+            .by_schema
             .iter()
-            .map(|((schema, query), hits)| WarmupEntry {
-                schema: schema.clone(),
-                query: query.clone(),
-                hits: *hits,
+            .flat_map(|(schema, queries)| {
+                queries.iter().map(|(query, hits)| WarmupEntry {
+                    schema: schema.clone(),
+                    query: query.clone(),
+                    hits: *hits,
+                })
             })
             .collect();
         entries.sort_by(|a, b| b.hits.cmp(&a.hits).then_with(|| a.query.cmp(&b.query)));
         entries.truncate(k);
         entries
+    }
+}
+
+/// Adds `handle` to a list of background threads joined at shutdown,
+/// first joining (instantly) the threads that already finished: an
+/// unjoined finished thread keeps its stack mapped, so a list that only
+/// grew would leak one stack per schema upload or replication stream.
+pub(crate) fn push_reaped(
+    threads: &Mutex<Vec<JoinHandle<()>>>,
+    what: &str,
+    handle: JoinHandle<()>,
+) {
+    let mut live = lock_recover(threads, what);
+    let (finished, running): (Vec<_>, Vec<_>) = std::mem::take(&mut *live)
+        .into_iter()
+        .partition(|h| h.is_finished());
+    *live = running;
+    live.push(handle);
+    drop(live);
+    for h in finished {
+        if h.join().is_err() {
+            eprintln!("ipe-service: a finished {what} thread had panicked");
+        }
     }
 }
 
@@ -626,7 +667,7 @@ pub(crate) fn spawn_index_build(state: &Arc<ServiceState>, entry: Arc<crate::Sch
             st.index_builds_in_flight.fetch_sub(1, Ordering::SeqCst);
         });
     match spawn {
-        Ok(handle) => lock_recover(&state.index_builders, "index builders").push(handle),
+        Ok(handle) => push_reaped(&state.index_builders, "index builders", handle),
         Err(e) => {
             // Degrade to unindexed serving rather than failing the PUT.
             state.index_builds_in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -825,7 +866,7 @@ impl Server {
                 .name("ipe-repl-follower".to_owned())
                 .spawn(move || crate::repl::follower_loop(st))
             {
-                Ok(handle) => lock_recover(&state.repl_threads, "repl threads").push(handle),
+                Ok(handle) => push_reaped(&state.repl_threads, "repl threads", handle),
                 Err(e) => {
                     // A follower that cannot apply must not serve: readers
                     // would see a frozen replica that still claims ready
@@ -961,12 +1002,96 @@ fn warm_cache(state: &Arc<ServiceState>, entries: &[WarmupEntry], top_k: usize) 
         let cache = state.caches.partition(split_scoped(schema_name).0);
         for item in complete_batch(&engine, &asts, &opts) {
             if let Ok(outcome) = item.result {
-                let key = keys[item.index].clone();
-                let weight = entry_weight(&key, &outcome);
-                cache.insert_weighted(key, Arc::new(outcome), weight);
+                cache.insert_reply(keys[item.index].clone(), &entry.schema, outcome);
                 warmed += 1;
             }
         }
     }
     warmed
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    fn counts(tracker: &WarmupTracker) -> Vec<(String, String, u64)> {
+        let mut rows: Vec<_> = (tracker.top_k(usize::MAX).into_iter())
+            .map(|w| (w.schema, w.query, w.hits))
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn warmup_tracker_counts_caps_and_drops_contended_samples() {
+        let tracker = WarmupTracker::new();
+        for _ in 0..3 {
+            tracker.record("uni", "ta~name");
+        }
+        tracker.record("uni", "student~name");
+        tracker.record("t/uni", "ta~name");
+        let top = tracker.top_k(1);
+        assert_eq!((top[0].query.as_str(), top[0].hits), ("ta~name", 3));
+        assert_eq!(
+            counts(&tracker),
+            [
+                ("t/uni".to_owned(), "ta~name".to_owned(), 1),
+                ("uni".to_owned(), "student~name".to_owned(), 1),
+                ("uni".to_owned(), "ta~name".to_owned(), 3),
+            ]
+        );
+
+        // A sample arriving while the map is locked is dropped, not queued.
+        let held = tracker.inner.lock().unwrap();
+        tracker.record("uni", "ta~name");
+        drop(held);
+        assert_eq!(tracker.top_k(1)[0].hits, 3);
+
+        // At the cap, new keys are dropped and known keys keep counting.
+        for i in 3..WARMUP_TRACK_CAP {
+            tracker.record(&format!("s{}", i % 7), &format!("q{i}"));
+        }
+        assert_eq!(counts(&tracker).len(), WARMUP_TRACK_CAP);
+        tracker.record("uni", "new~key");
+        tracker.record("fresh", "ta~name");
+        tracker.record("uni", "ta~name");
+        let rows = counts(&tracker);
+        assert_eq!(rows.len(), WARMUP_TRACK_CAP);
+        assert!(!rows.iter().any(|r| r.1 == "new~key" || r.0 == "fresh"));
+        assert_eq!(tracker.top_k(1)[0].hits, 4);
+
+        // A poisoned map is recovered, never frozen.
+        let tracker = Arc::new(tracker);
+        let poisoner = Arc::clone(&tracker);
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.inner.lock().unwrap();
+            panic!("poison the warmup map");
+        })
+        .join();
+        assert!(tracker.inner.is_poisoned());
+        tracker.record("uni", "ta~name");
+        assert_eq!(tracker.top_k(1)[0].hits, 5);
+    }
+
+    #[test]
+    fn finished_index_builders_are_reaped() {
+        let state = Arc::new(ServiceState::new(&ServiceConfig::default(), None));
+        let schema = ipe_schema::fixtures::university();
+        for _ in 0..50 {
+            let entry = state.register_schema("uni", schema.clone(), "{}").unwrap();
+            spawn_index_build(&state, entry);
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !lock_recover(&state.index_builders, "index builders")
+                .iter()
+                .all(|h| h.is_finished())
+            {
+                assert!(Instant::now() < deadline, "an index build never finished");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let held = lock_recover(&state.index_builders, "index builders").len();
+        assert!(held <= 1, "{held} finished build threads still held");
+        assert_eq!(state.index_builds_completed.load(Ordering::SeqCst), 50);
+    }
 }

@@ -6,20 +6,18 @@
 use super::dispatch::{decode, elapsed_ns, Handled, Reply, ReqObs};
 use super::ServiceState;
 use crate::api::{
-    AnswerView, BatchCompleteRequest, BatchCompleteResponse, BatchItemView, CompleteRequest,
-    CompleteResponse, CompletionView, QueryRequest, QueryResponse,
+    completion_views, AnswerView, BatchCompleteRequest, BatchCompleteResponse, BatchItemView,
+    CompleteRequest, CompleteResponse, QueryRequest, QueryResponse,
 };
-use crate::cache::{config_fingerprint, entry_weight, CacheKey};
+use crate::cache::{config_fingerprint, CacheKey, CachedReply};
 use crate::http::Request;
 use crate::SchemaEntry;
 use ipe_core::{
     complete_batch, BatchOptions, CompleteError, Completer, CompletionConfig, SearchLimits,
-    SearchOutcome,
 };
 use ipe_oodb::EvalLimits;
 use ipe_parser::{parse_path_expression, PathExprAst};
 use ipe_query::{evaluate_completions, Answer, QueryError};
-use ipe_schema::Schema;
 use ipe_tenant::{scoped_name, split_scoped, Tenant, TenantConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -81,17 +79,18 @@ fn bad_config(msg: String) -> Reply {
     Reply::error(400, &msg)
 }
 
-/// One cached search: the outcome, whether the cache answered, and the
-/// normalized query text it is keyed under.
+/// One cached search: the cache entry, whether the cache answered, and
+/// the normalized query text it is keyed under.
 struct Searched {
-    outcome: Arc<SearchOutcome>,
+    reply: Arc<CachedReply>,
     cached: bool,
     query: String,
 }
 
 /// Answers `ast` from the tenant's cache partition, or runs the engine
-/// (indexed when the entry's index is built) and caches the outcome.
-/// Engine rejections are `422`; a search past `deadline` is `504`.
+/// (indexed when the entry's index is built) and caches the outcome with
+/// its encoded reply fragment. Engine rejections are `422`; a search
+/// past `deadline` is `504`.
 fn probe_or_search(
     state: &ServiceState,
     tenant: &Tenant,
@@ -113,10 +112,10 @@ fn probe_or_search(
     let probe = cache.get(&key);
     probe_span.attr("hit", probe.is_some() as u64);
     probe_span.finish();
-    if let Some(outcome) = probe {
+    if let Some(reply) = probe {
         obs.cache_hit = Some(true);
         return Ok(Searched {
-            outcome,
+            reply,
             cached: true,
             query,
         });
@@ -146,11 +145,8 @@ fn probe_or_search(
     search_span.finish();
     obs.absorb_stats(&outcome.stats);
     obs.cache_hit = Some(false);
-    let weight = entry_weight(&key, &outcome);
-    let outcome = Arc::new(outcome);
-    cache.insert_weighted(key, Arc::clone(&outcome), weight);
     Ok(Searched {
-        outcome,
+        reply: cache.insert_reply(key, &entry.schema, outcome),
         cached: false,
         query,
     })
@@ -174,32 +170,14 @@ pub(super) fn handle_complete(
     if let Some(warmup) = &state.warmup {
         warmup.record(&entry.name, &searched.query);
     }
-    Ok(Reply::serialize(
-        200,
-        &CompleteResponse {
-            schema: split_scoped(&entry.name).1.to_owned(),
-            generation: entry.generation,
-            duration_ns: elapsed_ns(started),
-            completions: completion_views(&entry.schema, &searched.outcome),
-            stats: searched.outcome.stats,
-            query: searched.query,
-            cached: searched.cached,
-        },
-    ))
-}
-
-/// Renders a search outcome's completions into wire form.
-fn completion_views(schema: &Schema, outcome: &SearchOutcome) -> Vec<CompletionView> {
-    outcome
-        .completions
-        .iter()
-        .map(|c| CompletionView {
-            text: c.display(schema).to_string(),
-            connector: c.label.connector.to_string(),
-            semlen: c.label.semlen as u64,
-            edges: c.edges.len() as u64,
-        })
-        .collect()
+    let head = CompleteResponse::encode_head(
+        split_scoped(&entry.name).1,
+        entry.generation,
+        &searched.query,
+        searched.cached,
+        elapsed_ns(started),
+    );
+    Ok(Reply::spliced(200, head, searched.reply))
 }
 
 /// `POST /v1/complete/batch`: per-item parse and cache probe, then one
@@ -272,7 +250,7 @@ pub(super) fn handle_batch(
                 };
                 if let Some(hit) = cache.get(&key) {
                     views[i] = Some(BatchItemView {
-                        completions: completion_views(&entry.schema, &hit),
+                        completions: completion_views(&entry.schema, &hit.outcome),
                         ..item(key.query, "ok", true, 0)
                     });
                 } else {
@@ -316,9 +294,8 @@ pub(super) fn handle_batch(
             views[miss_slots[done.index]] = Some(match done.result {
                 Ok(outcome) => {
                     obs.absorb_stats(&outcome.stats);
-                    let completions = completion_views(&entry.schema, &outcome);
-                    let weight = entry_weight(&key, &outcome);
-                    cache.insert_weighted(key, Arc::new(outcome), weight);
+                    let reply = cache.insert_reply(key, &entry.schema, outcome);
+                    let completions = completion_views(&entry.schema, &reply.outcome);
                     BatchItemView {
                         completions,
                         ..item(query, "ok", false, done.duration_ns)
@@ -418,7 +395,7 @@ pub(super) fn handle_query(
     // the completion set and cold/warm answers are identical by
     // construction.
     let searched = probe_or_search(state, tenant, &entry, &ast, cfg, deadline, obs)?;
-    let outcome = &searched.outcome;
+    let outcome = &searched.reply.outcome;
     let eval_limits = EvalLimits {
         deadline,
         ..EvalLimits::default()
@@ -558,5 +535,107 @@ pub(super) fn admit_read(
         // Caught up (or leader) and the schema simply isn't registered:
         // let the handler answer its ordinary 404.
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ipe_core::SearchOutcome;
+    use ipe_schema::Schema;
+
+    /// Schema names and queries the head must escape exactly as serde
+    /// does: quotes, backslashes, control characters, non-ASCII.
+    const AWKWARD: [(&str, &str); 3] = [
+        ("default", "ta~name"),
+        ("we\"ird\\name", "q\"uo\\te~x"),
+        ("tab\there\nnl\u{1}é", "ctl\u{1f}~\u{7f}ü"),
+    ];
+
+    /// The body `handle_complete` sends: head, then the cached fragment.
+    fn spliced(
+        name: &str,
+        gen: u64,
+        query: &str,
+        cached: bool,
+        ns: u64,
+        reply: &Arc<CachedReply>,
+    ) -> String {
+        let head = CompleteResponse::encode_head(name, gen, query, cached, ns);
+        let reply = Reply::spliced(200, head, Arc::clone(reply));
+        String::from_utf8(reply.body_parts().concat()).expect("the body is UTF-8")
+    }
+
+    /// The same body through the typed response.
+    fn typed(
+        name: &str,
+        gen: u64,
+        query: &str,
+        cached: bool,
+        ns: u64,
+        schema: &Schema,
+        outcome: &SearchOutcome,
+    ) -> String {
+        serde_json::to_string(&CompleteResponse {
+            schema: name.to_owned(),
+            generation: gen,
+            query: query.to_owned(),
+            cached,
+            duration_ns: ns,
+            completions: completion_views(schema, outcome),
+            stats: outcome.stats,
+        })
+        .expect("responses serialize")
+    }
+
+    /// Asserts byte identity for every name/query pair, cache flag and a
+    /// spread of integers, with the entry's own normalized query too.
+    fn assert_identical(schema: &Schema, query: &str, outcome: SearchOutcome) {
+        let reply = Arc::new(CachedReply::new(schema, outcome.clone()));
+        let pairs = AWKWARD.iter().copied().chain([("default", query)]);
+        for (name, q) in pairs {
+            for cached in [false, true] {
+                for (gen, ns) in [(1, 0), (7, 123_456_789), (u64::MAX, u64::MAX)] {
+                    assert_eq!(
+                        spliced(name, gen, q, cached, ns, &reply),
+                        typed(name, gen, q, cached, ns, schema, &outcome),
+                        "schema {name:?}, query {q:?}, cached {cached}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn search(schema: &Schema, query: &str, e: usize) -> (String, SearchOutcome) {
+        let ast = parse_path_expression(query).expect("the query parses");
+        let outcome = Completer::with_config(schema, CompletionConfig::with_e(e))
+            .complete_with_stats(&ast)
+            .expect("the search succeeds");
+        (ast.to_string(), outcome)
+    }
+
+    #[test]
+    fn spliced_complete_body_is_byte_identical_to_the_typed_one() {
+        let university = ipe_schema::fixtures::university();
+        for (query, e) in [("ta~name", 1), ("ta ~ name", 3), ("student~name", 2)] {
+            let (normalized, outcome) = search(&university, query, e);
+            assert!(!outcome.completions.is_empty(), "{query} has completions");
+            assert_identical(&university, &normalized, outcome);
+        }
+        let empty = SearchOutcome {
+            completions: Vec::new(),
+            stats: Default::default(),
+        };
+        assert_identical(&university, "ta~name", empty);
+
+        let cupid = ipe_gen::cupid_like(1994);
+        let workload = ipe_gen::generate_workload(&cupid, &ipe_gen::WorkloadConfig::default());
+        assert!(!workload.is_empty());
+        for spec in &workload {
+            for e in [1, 3] {
+                let (normalized, outcome) = search(&cupid.schema, &spec.expr, e);
+                assert_identical(&cupid.schema, &normalized, outcome);
+            }
+        }
     }
 }

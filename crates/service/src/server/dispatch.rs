@@ -3,6 +3,7 @@
 
 use super::{complete, ops, schemas, tenants, ServiceState};
 use crate::api::error_body;
+use crate::cache::CachedReply;
 use crate::http::Request;
 use crate::repl::StreamStart;
 use crate::route::{Kind, Route};
@@ -17,7 +18,11 @@ use std::time::Instant;
 /// everything except the Prometheus exposition).
 pub(crate) struct Reply {
     pub(crate) status: u16,
+    /// The body, or its per-request head when `tail` is set.
     pub(crate) body: String,
+    /// A cached completion set whose pre-encoded fragment finishes the
+    /// body (see [`Reply::spliced`]).
+    pub(crate) tail: Option<Arc<CachedReply>>,
     pub(crate) content_type: &'static str,
     /// Extra response headers (e.g. `x-ipe-leader` on follower `421`s).
     pub(crate) headers: Vec<(&'static str, String)>,
@@ -32,6 +37,7 @@ impl Reply {
         Reply {
             status,
             body,
+            tail: None,
             content_type: "application/json",
             headers: Vec::new(),
             stream: None,
@@ -50,6 +56,22 @@ impl Reply {
             Ok(json) => Reply::json(status, json),
             Err(e) => Reply::error(500, &e.to_string()),
         }
+    }
+
+    /// A JSON body written as `head` followed by `tail`'s pre-encoded
+    /// fragment, which the front end copies straight from the cache.
+    pub(crate) fn spliced(status: u16, head: String, tail: Arc<CachedReply>) -> Reply {
+        Reply {
+            tail: Some(tail),
+            ..Reply::json(status, head)
+        }
+    }
+
+    /// The body's bytes, in order: the head and, when spliced, the
+    /// cached fragment.
+    pub(crate) fn body_parts(&self) -> [&[u8]; 2] {
+        let tail = self.tail.as_ref().map_or("", |t| t.fragment.as_str());
+        [self.body.as_bytes(), tail.as_bytes()]
     }
 
     pub(crate) fn with_header(mut self, name: &'static str, value: String) -> Reply {

@@ -947,6 +947,85 @@ fn pipelined_keepalive_round_trips_losslessly() {
     server.shutdown();
 }
 
+/// Splits a `/v1/complete` body into the body without its `cached` and
+/// `duration_ns` fields, and the text of those two fields.
+fn split_cache_fields(body: &str) -> (String, String) {
+    let start = body
+        .find(",\"cached\":")
+        .unwrap_or_else(|| panic!("no cached: {body}"));
+    let end = body
+        .find(",\"completions\":")
+        .unwrap_or_else(|| panic!("no completions: {body}"));
+    let rest = format!("{}{}", &body[..start], &body[end..]);
+    (rest, body[start..end].to_owned())
+}
+
+/// Asserts the cache fields read `"cached":<cached>,"duration_ns":<n>`.
+fn assert_cache_fields(fields: &str, cached: bool) {
+    let prefix = format!(",\"cached\":{cached},\"duration_ns\":");
+    let ns = fields
+        .strip_prefix(&prefix)
+        .unwrap_or_else(|| panic!("unexpected cache fields {fields:?}"));
+    assert!(ns.parse::<u64>().is_ok(), "duration_ns is {ns:?}");
+}
+
+/// A warm `/v1/complete` reply (answered from the cached, pre-encoded
+/// fragment) is the cold reply byte for byte except for `cached` and
+/// `duration_ns`; pipelined warm replies each frame with a
+/// `Content-Length` covering head and fragment exactly.
+#[test]
+fn warm_complete_body_equals_cold_except_cache_fields() {
+    use std::io::{Read, Write};
+    let (server, mut client) = start_server();
+    let req = r#"{"query": "ta ~ name", "e": 2}"#;
+    let (status, cold) = client.request("POST", "/v1/complete", req).unwrap();
+    assert_eq!(status, 200, "{cold}");
+    let (status, warm) = client.request("POST", "/v1/complete", req).unwrap();
+    assert_eq!(status, 200, "{warm}");
+    let (cold_rest, cold_fields) = split_cache_fields(&cold);
+    let (warm_rest, warm_fields) = split_cache_fields(&warm);
+    assert_cache_fields(&cold_fields, false);
+    assert_cache_fields(&warm_fields, true);
+    assert_eq!(cold_rest, warm_rest);
+    assert!(warm.ends_with("}}"), "{warm}");
+
+    let mut s = std::net::TcpStream::connect(server.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let one = |close: &str| {
+        format!(
+            "POST /v1/complete HTTP/1.1\r\nHost: t\r\n{close}Content-Length: {}\r\n\r\n{req}",
+            req.len()
+        )
+    };
+    let burst = one("") + &one("Connection: close\r\n");
+    s.write_all(burst.as_bytes()).expect("write burst");
+    let mut out = Vec::new();
+    s.read_to_end(&mut out).expect("read both responses");
+    let mut rest = out.as_slice();
+    for _ in 0..2 {
+        let head_end = rest
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .expect("a response head")
+            + 4;
+        let head = std::str::from_utf8(&rest[..head_end]).unwrap();
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+        let len: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .expect("a Content-Length header")
+            .parse()
+            .unwrap();
+        let body = std::str::from_utf8(&rest[head_end..head_end + len]).unwrap();
+        let (body_rest, fields) = split_cache_fields(body);
+        assert_cache_fields(&fields, true);
+        assert_eq!(body_rest, warm_rest, "a pipelined warm body differs");
+        rest = &rest[head_end + len..];
+    }
+    assert!(rest.is_empty(), "bytes after the second response: {rest:?}");
+    server.shutdown();
+}
+
 /// `%XX` escapes in the request target are decoded before routing:
 /// a schema whose name contains a space round-trips through
 /// `PUT`/`GET /v1/schemas/my%20schema`, and percent-encoded query

@@ -97,7 +97,7 @@ echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== clippy (obs-off) =="
-cargo clippy --workspace --features ipe/obs-off -- -D warnings
+cargo clippy --workspace --all-targets --features ipe/obs-off -- -D warnings
 
 echo "== fmt =="
 cargo fmt --check
