@@ -8,13 +8,13 @@
 //! additionally drops the stale entries eagerly so a reload frees memory
 //! immediately instead of waiting for LRU pressure.
 //!
-//! Eviction is *byte-budgeted*: every insert declares the entry's
-//! approximate heap weight, and a shard evicts least-recently-used
-//! entries until the declared bytes fit the shard's budget (an entry
-//! cap remains as a secondary backstop for zero-weight inserts). Each
-//! tenant owns a private [`ReplyCache`] inside
-//! [`CachePartitions`], so one tenant's churn can never push another
-//! tenant's warm entries out.
+//! Eviction is *budgeted*, with one limit: every insert declares the
+//! entry's weight (1 for [`ShardedLru::insert`], its approximate heap
+//! bytes for the service's replies), and a shard evicts
+//! least-recently-used entries until the declared weights fit the
+//! shard's share of the budget. Each tenant owns a private
+//! [`ReplyCache`] inside [`CachePartitions`], so one tenant's churn can
+//! never push another tenant's warm entries out.
 //!
 //! The service caches a [`CachedReply`]: the outcome together with its
 //! reply fragment, encoded once at insert, so a hit answers
@@ -79,8 +79,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Live entries across all shards.
     pub entries: u64,
-    /// Approximate bytes held by live entries, as declared at insertion
-    /// (see [`ShardedLru::insert_weighted`] and [`entry_weight`]).
+    /// Weight held by live entries, as declared at insertion: bytes for
+    /// the service's replies (see [`entry_weight`]), 1 per
+    /// [`ShardedLru::insert`].
     pub bytes: u64,
 }
 
@@ -198,36 +199,40 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         Some(self.nodes[i].value.clone())
     }
 
-    /// Drops the least-recently-used entry. Must not be called on an
-    /// empty shard.
-    fn evict_tail(&mut self) {
-        let victim = self.tail;
-        debug_assert_ne!(victim, NIL, "evict_tail on an empty shard");
-        self.unlink(victim);
-        self.bytes -= self.nodes[victim].bytes as u64;
-        self.map.remove(&self.nodes[victim].key);
-        self.free.push(victim);
+    /// Drops node `i`, releasing its weight.
+    fn remove(&mut self, i: usize) {
+        self.unlink(i);
+        self.bytes -= self.nodes[i].bytes as u64;
+        self.map.remove(&self.nodes[i].key);
+        self.free.push(i);
     }
 
-    /// Inserts or refreshes, then enforces both limits: the entry cap
-    /// (a backstop for zero-weight inserts) and the byte budget
-    /// (`budget == 0` = unlimited). Returns how many entries were
-    /// evicted. An entry whose own weight exceeds the whole budget is
-    /// refused outright — caching it is pointless and letting it in
-    /// would churn every warm entry on its way through.
-    fn insert(&mut self, key: K, value: V, bytes: usize, capacity: usize, budget: u64) -> u64 {
-        let mut evicted = 0u64;
-        if budget > 0 && bytes as u64 > budget {
+    /// Evicts least-recently-used entries until the live weight fits
+    /// `budget`; returns how many went.
+    fn evict_to(&mut self, budget: u64) -> u64 {
+        let mut evicted = 0;
+        while self.bytes > budget && self.tail != NIL {
+            self.remove(self.tail);
+            evicted += 1;
+        }
+        evicted
+    }
+
+    /// Inserts or refreshes, then evicts down to `budget`. Returns how
+    /// many entries were evicted. An entry whose own weight exceeds the
+    /// whole budget is refused outright — caching it is pointless and
+    /// letting it in would churn every warm entry on its way through.
+    fn insert(&mut self, key: K, value: V, bytes: usize, budget: u64) -> u64 {
+        if bytes as u64 > budget {
             // A stale, smaller version of the key must still die: the
             // caller just computed a fresher result we cannot hold.
-            if let Some(&i) = self.map.get(&key) {
-                self.unlink(i);
-                self.bytes -= self.nodes[i].bytes as u64;
-                self.map.remove(&self.nodes[i].key);
-                self.free.push(i);
-                return 1;
-            }
-            return 0;
+            return match self.map.get(&key) {
+                Some(&i) => {
+                    self.remove(i);
+                    1
+                }
+                None => 0,
+            };
         }
         if let Some(&i) = self.map.get(&key) {
             self.bytes = self.bytes - self.nodes[i].bytes as u64 + bytes as u64;
@@ -236,10 +241,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
             self.unlink(i);
             self.link_front(i);
         } else {
-            if self.map.len() >= capacity {
-                self.evict_tail();
-                evicted += 1;
-            }
             self.bytes += bytes as u64;
             let node = Node {
                 key: key.clone(),
@@ -261,13 +262,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
             self.link_front(i);
             self.map.insert(key, i);
         }
-        if budget > 0 {
-            while self.bytes > budget && self.tail != NIL {
-                self.evict_tail();
-                evicted += 1;
-            }
-        }
-        evicted
+        self.evict_to(budget)
     }
 
     /// Removes every entry matching `pred`; returns how many were dropped.
@@ -280,10 +275,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
             .collect();
         let n = victims.len() as u64;
         for i in victims {
-            self.unlink(i);
-            self.bytes -= self.nodes[i].bytes as u64;
-            self.map.remove(&self.nodes[i].key);
-            self.free.push(i);
+            self.remove(i);
         }
         n
     }
@@ -307,12 +299,10 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
 /// `Arc<CachedReply>`).
 pub struct ShardedLru<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
-    /// Per-shard capacity; total capacity is `shards.len() * per_shard`.
-    per_shard: usize,
-    /// Per-shard byte budget (0 = unlimited). Atomic so a tenant's
-    /// budget can be re-configured on a live partition; enforced at the
-    /// next insert.
-    per_shard_bytes: AtomicU64,
+    /// The budget across all shards, in the units entries declare. Each
+    /// shard holds at most its even share, rounded up. Atomic so a
+    /// tenant's budget can be re-configured on a live partition.
+    budget: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -327,43 +317,51 @@ pub type CompletionCache = ShardedLru<CacheKey, Arc<SearchOutcome>>;
 pub type ReplyCache = ShardedLru<CacheKey, Arc<CachedReply>>;
 
 impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
-    /// A cache of roughly `capacity` entries over `shards` shards (both
-    /// clamped to at least 1; `shards` is rounded up to a power of two so
-    /// shard selection is a mask), with no byte budget.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        Self::with_byte_budget(capacity, shards, 0)
-    }
-
-    /// Like [`ShardedLru::new`] with a byte budget across all shards
-    /// (0 = unlimited). The budget splits evenly per shard, so a skewed
-    /// key distribution can evict slightly before the global figure is
-    /// reached — the budget is a ceiling, never exceeded.
-    pub fn with_byte_budget(capacity: usize, shards: usize, budget_bytes: u64) -> Self {
+    /// A cache bounded by `budget` over `shards` shards (clamped to at
+    /// least 1 and rounded up to a power of two, so shard selection is a
+    /// mask). The budget counts whatever entries declare: an
+    /// [`insert`](ShardedLru::insert) weighs 1, so a cache filled that
+    /// way holds about `budget` entries, while
+    /// [`insert_weighted`](ShardedLru::insert_weighted) declares bytes.
+    pub fn new(budget: u64, shards: usize) -> Self {
         let shards = shards.max(1).next_power_of_two();
-        let per_shard = capacity.div_ceil(shards).max(1);
-        let per_shard_bytes = budget_bytes.div_ceil(shards as u64);
         ShardedLru {
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
-            per_shard,
-            per_shard_bytes: AtomicU64::new(per_shard_bytes),
+            budget: AtomicU64::new(budget),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// Replaces the byte budget (0 = unlimited). Takes effect on the
-    /// next insert; a shrink does not eagerly evict.
-    pub fn set_byte_budget(&self, budget_bytes: u64) {
-        self.per_shard_bytes.store(
-            budget_bytes.div_ceil(self.shards.len() as u64),
-            Ordering::Relaxed,
-        );
+    /// Replaces the budget and evicts every shard down to its new share
+    /// at once, so a shrink frees memory without waiting for inserts.
+    pub fn set_budget(&self, budget: u64) {
+        self.budget.store(budget, Ordering::Relaxed);
+        let share = self.shard_budget();
+        let evicted = self
+            .shards
+            .iter()
+            .map(|s| Self::lock_shard(s).evict_to(share))
+            .sum();
+        self.count_evictions(evicted);
     }
 
-    /// The configured byte budget across all shards (0 = unlimited).
-    pub fn byte_budget(&self) -> u64 {
-        self.per_shard_bytes.load(Ordering::Relaxed) * self.shards.len() as u64
+    /// The configured budget across all shards.
+    pub fn budget(&self) -> u64 {
+        self.budget.load(Ordering::Relaxed)
+    }
+
+    /// One shard's share of the budget.
+    fn shard_budget(&self) -> u64 {
+        self.budget().div_ceil(self.shards.len() as u64)
+    }
+
+    fn count_evictions(&self, evicted: u64) {
+        if evicted > 0 {
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            ipe_obs::counter!("service.cache.evict", evicted);
+        }
     }
 
     fn shard_of(&self, key: &K) -> &Mutex<Shard<K, V>> {
@@ -399,23 +397,19 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         got
     }
 
-    /// Inserts (or refreshes) `key`, evicting the shard's least recently
-    /// used entry when full. The entry counts zero bytes toward the byte
-    /// gauge; use [`ShardedLru::insert_weighted`] to account its size.
+    /// Inserts (or refreshes) `key` at weight 1, evicting the shard's
+    /// least recently used entries when it is over budget.
     pub fn insert(&self, key: K, value: V) {
-        self.insert_weighted(key, value, 0);
+        self.insert_weighted(key, value, 1);
     }
 
     /// Like [`ShardedLru::insert`], declaring the entry's approximate
-    /// heap footprint for the `cache.bytes` gauge (see [`entry_weight`]).
+    /// heap footprint in bytes (see [`entry_weight`]); it counts toward
+    /// the budget and the `cache.bytes` gauge.
     pub fn insert_weighted(&self, key: K, value: V, bytes: usize) {
-        let budget = self.per_shard_bytes.load(Ordering::Relaxed);
-        let evicted =
-            Self::lock_shard(self.shard_of(&key)).insert(key, value, bytes, self.per_shard, budget);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            ipe_obs::counter!("service.cache.evict", evicted);
-        }
+        let share = self.shard_budget();
+        let evicted = Self::lock_shard(self.shard_of(&key)).insert(key, value, bytes, share);
+        self.count_evictions(evicted);
     }
 
     /// Live entries across all shards.
@@ -426,8 +420,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
             .sum()
     }
 
-    /// Approximate bytes held by live entries across all shards, as
-    /// declared at insertion.
+    /// Weight held by live entries across all shards, as declared at
+    /// insertion.
     pub fn bytes(&self) -> u64 {
         self.shards.iter().map(|s| Self::lock_shard(s).bytes).sum()
     }
@@ -479,6 +473,9 @@ impl ReplyCache {
     }
 }
 
+/// Shards per cache partition.
+const CACHE_SHARDS: usize = 16;
+
 /// Per-tenant completion-cache partitions. Every tenant gets a private
 /// [`ReplyCache`] with its own byte budget, so cache pressure
 /// never crosses tenant boundaries: a noisy tenant churning its
@@ -486,24 +483,17 @@ impl ReplyCache {
 /// partition is created eagerly and never dropped.
 pub struct CachePartitions {
     inner: RwLock<HashMap<String, Arc<ReplyCache>>>,
-    /// Entry capacity of each partition (the zero-weight backstop).
-    capacity: usize,
-    /// Shard count of each partition.
-    shards: usize,
     /// Byte budget applied when a tenant doesn't set its own.
     default_budget: u64,
 }
 
 impl CachePartitions {
-    /// A partition set where each partition holds up to `capacity`
-    /// entries over `shards` shards, budgeted at `default_budget` bytes
-    /// unless the tenant overrides it (0 = unlimited). The `default`
-    /// partition is created immediately.
-    pub fn new(capacity: usize, shards: usize, default_budget: u64) -> CachePartitions {
+    /// A partition set whose partitions are each budgeted at
+    /// `default_budget` bytes unless the tenant sets its own. The
+    /// `default` partition is created immediately.
+    pub fn new(default_budget: u64) -> CachePartitions {
         let parts = CachePartitions {
             inner: RwLock::new(HashMap::new()),
-            capacity,
-            shards,
             default_budget,
         };
         parts.ensure(ipe_tenant::DEFAULT_TENANT, 0);
@@ -526,7 +516,7 @@ impl CachePartitions {
 
     /// Gets (or creates) `tenant`'s partition, applying `budget_bytes`
     /// (0 = the partition-set default). An existing partition is
-    /// re-budgeted in place, entries intact.
+    /// re-budgeted in place, evicting down to a smaller budget at once.
     pub fn ensure(&self, tenant: &str, budget_bytes: u64) -> Arc<ReplyCache> {
         let budget = if budget_bytes > 0 {
             budget_bytes
@@ -534,19 +524,15 @@ impl CachePartitions {
             self.default_budget
         };
         if let Some(cache) = self.read().get(tenant) {
-            cache.set_byte_budget(budget);
+            cache.set_budget(budget);
             return Arc::clone(cache);
         }
         let mut map = self.write();
         if let Some(cache) = map.get(tenant) {
-            cache.set_byte_budget(budget);
+            cache.set_budget(budget);
             return Arc::clone(cache);
         }
-        let cache = Arc::new(ReplyCache::with_byte_budget(
-            self.capacity,
-            self.shards,
-            budget,
-        ));
+        let cache = Arc::new(ReplyCache::new(budget, CACHE_SHARDS));
         map.insert(tenant.to_owned(), Arc::clone(&cache));
         cache
     }
@@ -573,11 +559,7 @@ impl CachePartitions {
         if tenant == ipe_tenant::DEFAULT_TENANT {
             map.insert(
                 tenant.to_owned(),
-                Arc::new(ReplyCache::with_byte_budget(
-                    self.capacity,
-                    self.shards,
-                    cache.byte_budget(),
-                )),
+                Arc::new(ReplyCache::new(cache.budget(), CACHE_SHARDS)),
             );
         }
         (entries, bytes)
@@ -639,8 +621,8 @@ mod tests {
     }
 
     /// Single-shard cache so the LRU order is fully observable.
-    fn tiny(capacity: usize) -> ShardedLru<CacheKey, u32> {
-        ShardedLru::new(capacity, 1)
+    fn tiny(budget: u64) -> ShardedLru<CacheKey, u32> {
+        ShardedLru::new(budget, 1)
     }
 
     #[test]
@@ -683,7 +665,7 @@ mod tests {
 
     #[test]
     fn byte_gauge_tracks_insert_refresh_evict_and_purge() {
-        let cache = tiny(2);
+        let cache = tiny(150);
         assert_eq!(cache.bytes(), 0);
         cache.insert_weighted(key("a"), 1, 100);
         cache.insert_weighted(key("b"), 2, 50);
@@ -693,10 +675,11 @@ mod tests {
         cache.insert_weighted(key("a"), 3, 40);
         assert_eq!(cache.bytes(), 90);
         // Eviction releases the victim's weight (b is LRU).
-        cache.insert_weighted(key("c"), 4, 7);
-        assert_eq!(cache.bytes(), 47);
+        cache.insert_weighted(key("c"), 4, 70);
+        assert_eq!(cache.get(&key("b")), None);
+        assert_eq!(cache.bytes(), 110);
         // Purge releases everything for the schema.
-        let full: ReplyCache = ShardedLru::new(8, 2);
+        let full: ReplyCache = ShardedLru::new(1 << 20, 2);
         let reply = full.insert_reply(key("q"), &ipe_schema::fixtures::university(), empty());
         let w = entry_weight(&key("q"), &reply);
         assert!(w > 0, "weight counts at least the key and outcome headers");
@@ -708,7 +691,7 @@ mod tests {
     #[test]
     fn byte_budget_evicts_lru_until_the_new_entry_fits() {
         // Budget 100 over one shard; skewed entry sizes.
-        let cache: ShardedLru<CacheKey, u32> = ShardedLru::with_byte_budget(1024, 1, 100);
+        let cache = tiny(100);
         cache.insert_weighted(key("small-1"), 1, 10);
         cache.insert_weighted(key("small-2"), 2, 10);
         cache.insert_weighted(key("big"), 3, 70);
@@ -747,27 +730,48 @@ mod tests {
         let fragment = reply.fragment.len();
         assert!(fragment > 100, "two completions encode to {fragment} bytes");
         let outcome_only = (weight - fragment) as u64;
-        let tight = ReplyCache::with_byte_budget(16, 1, outcome_only);
+        let tight = ReplyCache::new(outcome_only, 1);
         tight.insert_reply(key("ta~name"), &schema, outcome.clone());
         assert!(
             tight.is_empty(),
             "the fragment pushes the entry past the budget"
         );
-        let exact = ReplyCache::with_byte_budget(16, 1, weight as u64);
+        let exact = ReplyCache::new(weight as u64, 1);
         exact.insert_reply(key("ta~name"), &schema, outcome.clone());
         assert_eq!(exact.bytes(), weight as u64);
-        // Without a budget the entry cap alone bounds the cache.
-        let unbudgeted = ReplyCache::new(16, 1);
-        for i in 0..16 {
-            unbudgeted.insert_reply(key(&format!("q{i}")), &schema, outcome.clone());
+        // The byte budget is the only bound: room for ten equal-weight
+        // replies holds ten, and the eleventh evicts one.
+        let ten = ReplyCache::new(10 * entry_weight(&key("q0"), &reply) as u64, 1);
+        for i in 0..10 {
+            ten.insert_reply(key(&format!("q{i}")), &schema, outcome.clone());
         }
-        assert_eq!(unbudgeted.len(), 16);
-        assert_eq!(unbudgeted.stats().evictions, 0);
+        assert_eq!(ten.len(), 10);
+        assert_eq!(ten.stats().evictions, 0);
+        ten.insert_reply(key("qa"), &schema, outcome);
+        assert_eq!(ten.len(), 10);
+        assert_eq!(ten.stats().evictions, 1);
+    }
+
+    #[test]
+    fn shrinking_the_budget_evicts_every_shard_at_once() {
+        let cache: ShardedLru<CacheKey, u32> = ShardedLru::new(1 << 20, CACHE_SHARDS);
+        for i in 0..640 {
+            cache.insert_weighted(key(&format!("q{i}")), i, 100);
+        }
+        assert_eq!(cache.bytes(), 64_000);
+        assert_eq!(cache.stats().evictions, 0);
+        // No insert follows the shrink: every shard evicts on its own.
+        cache.set_budget(10_000);
+        assert_eq!(cache.budget(), 10_000);
+        let (entries, bytes) = (cache.len() as u64, cache.bytes());
+        assert!(bytes <= 10_000, "{bytes} bytes cached over a 10000 budget");
+        assert!(bytes > 0, "the shrink keeps what fits");
+        assert_eq!(cache.stats().evictions, 640 - entries);
     }
 
     #[test]
     fn partitions_isolate_tenant_churn() {
-        let parts = CachePartitions::new(1024, 1, 100);
+        let parts = CachePartitions::new(100 * CACHE_SHARDS as u64);
         let quiet = parts.ensure("quiet", 0);
         let noisy = parts.ensure("noisy", 0);
         let outcome = Arc::new(CachedReply::new(
@@ -776,17 +780,17 @@ mod tests {
         ));
         quiet.insert_weighted(key("warm"), outcome.clone(), 60);
         // The noisy tenant churns far past its own budget...
-        for i in 0..50 {
+        for i in 0..200 {
             noisy.insert_weighted(key(&format!("churn-{i}")), outcome.clone(), 30);
         }
-        assert!(noisy.bytes() <= 100);
+        assert!(noisy.stats().evictions > 0);
+        assert!(noisy.bytes() <= noisy.budget());
         // ...and the quiet tenant's warm entry is untouched.
         assert!(quiet.get(&key("warm")).is_some());
         assert_eq!(quiet.stats().evictions, 0);
         // Dropping the noisy partition reports its footprint.
-        let (entries, bytes) = parts.drop_partition("noisy");
-        assert_eq!(entries, 3);
-        assert_eq!(bytes, 90);
+        let footprint = (noisy.len() as u64, noisy.bytes());
+        assert_eq!(parts.drop_partition("noisy"), footprint);
         // The default partition resets instead of disappearing.
         let default = parts.partition(ipe_tenant::DEFAULT_TENANT);
         default.insert_weighted(key("d"), outcome, 10);

@@ -93,13 +93,9 @@ pub struct ServiceConfig {
     /// also the idle keep-alive reap interval and the shutdown drain
     /// deadline. Expiry mid-request answers `408`.
     pub request_timeout: Duration,
-    /// Completion cache size in entries.
-    pub cache_capacity: usize,
-    /// Completion cache shard count (rounded up to a power of two).
-    pub cache_shards: usize,
     /// Byte budget of each tenant's completion-cache partition when the
-    /// tenant does not set its own `cache_bytes` (0 = no byte budget;
-    /// the entry capacity still bounds the partition).
+    /// tenant does not set its own `cache_bytes`. It is the cache's only
+    /// bound, so it must be positive.
     pub cache_bytes: u64,
     /// Default worker threads for `POST /v1/complete/batch` (a request's
     /// `threads` field overrides per batch).
@@ -171,9 +167,7 @@ impl Default for ServiceConfig {
             reactors: 0,
             queue_depth: 256,
             request_timeout: Duration::from_secs(10),
-            cache_capacity: 4096,
-            cache_shards: 16,
-            cache_bytes: 0,
+            cache_bytes: 64 << 20,
             batch_threads: 4,
             data_dir: None,
             fsync: FsyncPolicy::Always,
@@ -391,11 +385,7 @@ impl ServiceState {
         };
         ServiceState {
             registry: SchemaRegistry::new(),
-            caches: CachePartitions::new(
-                config.cache_capacity,
-                config.cache_shards,
-                config.cache_bytes,
-            ),
+            caches: CachePartitions::new(config.cache_bytes),
             tenants: TenantRegistry::new(TenantConfig::default()),
             data: DataRegistry::new(),
             store: store.map(Mutex::new),
@@ -726,6 +716,12 @@ impl Server {
     /// and recovery is complete — a server that starts serving is never
     /// partially recovered.
     pub fn start(config: ServiceConfig) -> io::Result<Server> {
+        if config.cache_bytes == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "cache_bytes must be positive: it is the cache's only bound",
+            ));
+        }
         let reactors = reactor_count(config.reactors);
         let requested =
             config.addr.to_socket_addrs()?.next().ok_or_else(|| {

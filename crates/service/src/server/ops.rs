@@ -8,6 +8,8 @@ use crate::api::error_body;
 use crate::cache::CacheStats;
 use crate::http::Request;
 use crate::repl::StreamStart;
+use ipe_obs::prom::Gauge;
+use serde::{Serialize as _, Value};
 use std::sync::atomic::Ordering;
 
 /// One tenant's row in the `service.tenants` section of `GET /metrics`.
@@ -39,6 +41,8 @@ struct ServiceMetrics {
     wal_last_seq: u64,
     index: IndexMetrics,
     repl: ReplMetrics,
+    /// Request traces retained in the flight recorder.
+    flight_recorded: u64,
 }
 
 /// The `service.repl` section of `GET /metrics` (also the body of
@@ -99,6 +103,7 @@ impl ServiceState {
                 completes_unindexed: self.completes_unindexed.load(Ordering::Relaxed),
             },
             repl: self.repl_metrics(),
+            flight_recorded: self.flight.recorded(),
         }
     }
 
@@ -119,7 +124,7 @@ impl ServiceState {
                     busy: counters.busy,
                     searches: counters.searches,
                     cache: partition.stats(),
-                    cache_budget_bytes: partition.byte_budget(),
+                    cache_budget_bytes: partition.budget(),
                 }
             })
             .collect()
@@ -320,140 +325,50 @@ fn attach_service_gauges(report: &mut ipe_obs::Report, gauges: Result<String, se
 
 /// Builds the `/metrics?format=prometheus` body: every registered
 /// counter and log2-bucket timer as Prometheus `counter`/`histogram`
-/// families (with derived p50/p95/p99 quantile gauges), plus the live
-/// service gauges. Per-tenant gauges are one family each, labelled
-/// `tenant="…"`.
+/// families (with derived p50/p95/p99 quantile gauges), plus the JSON
+/// `service` section as gauges (see [`push_gauges`]). Each row of
+/// `service.tenants` becomes `tenant.*` families labelled `tenant="…"`.
 pub fn metrics_prometheus(state: &ServiceState) -> String {
-    use ipe_obs::prom::Gauge;
-    let m = state.metrics_view();
-    let mut rows = vec![
-        (
-            "service.cache.entries",
-            "Live entries in the completion cache.",
-            m.cache.entries,
-        ),
-        (
-            "service.cache.bytes",
-            "Approximate bytes held by completion-cache entries.",
-            m.cache.bytes,
-        ),
-        (
-            "service.workers",
-            "Reactor threads serving requests.",
-            m.workers,
-        ),
-        (
-            "service.queue_depth",
-            "Connections held live across all reactors right now.",
-            m.queue_depth,
-        ),
-        (
-            "service.schemas",
-            "Schemas registered in the service.",
-            m.schemas,
-        ),
-        (
-            "service.data.loaded",
-            "Data instances loaded in the service.",
-            m.data_sets,
-        ),
-        (
-            "service.wal_last_seq",
-            "Last durable WAL sequence number (0 when not durable).",
-            m.wal_last_seq,
-        ),
-        (
-            "service.index.builds_completed",
-            "Closure index builds finished since startup.",
-            m.index.builds_completed,
-        ),
-        (
-            "service.index.builds_in_flight",
-            "Closure index builds currently running.",
-            m.index.builds_in_flight,
-        ),
-        (
-            "service.flight.recorded",
-            "Request traces retained in the flight recorder.",
-            state.flight.recorded(),
-        ),
-    ];
-    if m.repl.role != "none" {
-        rows.extend([
-            (
-                "service.repl.lag_seq",
-                "WAL records the replica is behind the leader (0 on a leader).",
-                m.repl.lag_seq,
-            ),
-            (
-                "service.repl.lag_ms",
-                "Milliseconds since the replica was last level with the leader.",
-                m.repl.lag_ms,
-            ),
-            (
-                "service.repl.streams_active",
-                "Replication streams this leader is serving right now.",
-                m.repl.streams_active,
-            ),
-            (
-                "service.repl.connected",
-                "Whether the follower's stream connection is up (1/0).",
-                u64::from(m.repl.connected),
-            ),
-        ]);
-    }
-    let mut gauges: Vec<Gauge> = rows
-        .into_iter()
-        .map(|(name, help, value)| Gauge::new(name, help, value as f64))
-        .collect();
-    for t in &m.tenants {
-        let rows = [
-            (
-                "tenant.admitted",
-                "Requests admitted past the tenant's rate quota.",
-                t.admitted,
-            ),
-            (
-                "tenant.throttled",
-                "Requests bounced 429 by the tenant's rate quota.",
-                t.throttled,
-            ),
-            (
-                "tenant.busy",
-                "Requests bounced 429 by the tenant's concurrent-search cap.",
-                t.busy,
-            ),
-            (
-                "tenant.searches",
-                "Engine searches the tenant has executed.",
-                t.searches,
-            ),
-            (
-                "tenant.in_flight",
-                "Searches in flight for the tenant right now.",
-                t.in_flight,
-            ),
-            (
-                "tenant.cache.entries",
-                "Live entries in the tenant's cache partition.",
-                t.cache.entries,
-            ),
-            (
-                "tenant.cache.bytes",
-                "Approximate bytes held by the tenant's cache partition.",
-                t.cache.bytes,
-            ),
-            (
-                "tenant.cache.budget_bytes",
-                "Byte budget of the tenant's cache partition (0 = none).",
-                t.cache_budget_bytes,
-            ),
-        ];
-        gauges.extend(rows.map(|(name, help, value)| {
-            Gauge::new(name, help, value as f64).label("tenant", &t.tenant)
-        }));
+    let view = state.metrics_view().to_value();
+    let mut gauges = Vec::new();
+    push_gauges(&mut gauges, "service", &view, None);
+    if let Some(Value::Seq(rows)) = view.get("tenants") {
+        for row in rows {
+            if let Some(Value::Str(tenant)) = row.get("tenant") {
+                push_gauges(&mut gauges, "tenant", row, Some(tenant));
+            }
+        }
     }
     ipe_obs::prom::render(&gauges)
+}
+
+/// Appends one gauge per number or bool under `value`, named by its
+/// dotted JSON path from `path` (`service.cache.bytes` renders as
+/// `ipe_service_cache_bytes`). Strings and arrays are skipped, and so
+/// are `*_total` fields: `service.requests_total` would take the name
+/// of the registry's `service.requests` counter.
+fn push_gauges(out: &mut Vec<Gauge>, path: &str, value: &Value, tenant: Option<&str>) {
+    let number = match value {
+        Value::Bool(b) => f64::from(u8::from(*b)),
+        Value::I64(n) => *n as f64,
+        Value::U64(n) => *n as f64,
+        Value::F64(n) => *n,
+        Value::Map(fields) => {
+            for (key, field) in fields {
+                if !key.ends_with("_total") {
+                    push_gauges(out, &format!("{path}.{key}"), field, tenant);
+                }
+            }
+            return;
+        }
+        Value::Null | Value::Str(_) | Value::Seq(_) => return,
+    };
+    let help = format!("Gauge `{path}` of the /metrics JSON view.");
+    let gauge = Gauge::new(path, help, number);
+    out.push(match tenant {
+        Some(t) => gauge.label("tenant", t),
+        None => gauge,
+    });
 }
 
 #[cfg(test)]

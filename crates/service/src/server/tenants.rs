@@ -101,7 +101,7 @@ fn put_tenant(state: &ServiceState, req: &Request, name: &str) -> Handled {
         .put(name, config)
         .map_err(tenant_error_reply)?;
     // The cache partition's byte budget follows the config — a shrink
-    // evicts down to the new budget on the partition's next insert.
+    // evicts down to the new budget at once.
     state.caches.ensure(name, cache_bytes);
     state.persist_tenants();
     let status = if created { 201 } else { 200 };

@@ -29,8 +29,6 @@ fn server_with(data_dir: Option<&Path>, build_delay_ms: u64) -> (Server, Client)
         reactors: 2,
         queue_depth: 16,
         request_timeout: Duration::from_secs(5),
-        cache_capacity: 256,
-        cache_shards: 2,
         data_dir: data_dir.map(Path::to_path_buf),
         fsync: FsyncPolicy::Always,
         snapshot_every: 4,

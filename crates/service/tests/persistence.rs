@@ -27,8 +27,6 @@ fn durable_server(dir: &Path) -> (Server, Client) {
         reactors: 2,
         queue_depth: 16,
         request_timeout: Duration::from_secs(5),
-        cache_capacity: 256,
-        cache_shards: 2,
         data_dir: Some(dir.to_path_buf()),
         fsync: FsyncPolicy::Always,
         snapshot_every: 4,

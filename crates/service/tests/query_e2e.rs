@@ -15,8 +15,6 @@ fn start_server() -> (Server, Client) {
         reactors: 4,
         queue_depth: 16,
         request_timeout: Duration::from_secs(5),
-        cache_capacity: 256,
-        cache_shards: 4,
         batch_threads: 2,
         ..Default::default()
     })

@@ -15,8 +15,6 @@ fn start_server() -> (Server, Client) {
         reactors: 4,
         queue_depth: 16,
         request_timeout: Duration::from_secs(5),
-        cache_capacity: 256,
-        cache_shards: 4,
         batch_threads: 2,
         ..Default::default()
     })
@@ -497,8 +495,6 @@ fn start_traced_server(tune: impl FnOnce(&mut ServiceConfig)) -> (Server, Client
         reactors: 4,
         queue_depth: 16,
         request_timeout: Duration::from_secs(5),
-        cache_capacity: 256,
-        cache_shards: 4,
         batch_threads: 2,
         ..Default::default()
     };
@@ -665,8 +661,10 @@ fn batch_trace_spans_cross_worker_threads() {
     server.shutdown();
 }
 
-/// Ring wraparound: errored and slowest requests survive while ordinary
-/// sampled traffic is evicted from the tiny recent ring.
+/// Ring wraparound: errored requests and the slowest-K pool survive
+/// while ordinary sampled traffic is evicted from the tiny recent ring.
+/// The slowest pool is checked against the durations the recorder itself
+/// reports, so the test never assumes which request ran slowest.
 #[test]
 #[cfg_attr(feature = "obs-off", ignore = "tracing is compiled out")]
 fn flight_recorder_retains_errors_and_slowest_across_wraparound() {
@@ -674,74 +672,77 @@ fn flight_recorder_retains_errors_and_slowest_across_wraparound() {
         c.flight_capacity = 4;
         c.flight_keep_slowest = 2;
         c.flight_keep_errors = 2;
+        // No force-retained `slow` traces: the pool is the pure top K.
+        c.slow_ms = 0;
     });
-    // The slowest request this server will see: a cold exhaustive search.
-    let resp = client
-        .request_with(
-            "POST",
-            "/v1/complete",
-            r#"{"query": "ta~name"}"#,
-            &[("x-ipe-trace-id", "slowpoke")],
-        )
-        .unwrap();
-    assert_eq!(resp.status, 200);
-    // An errored request (unknown schema -> 404).
-    let resp = client
-        .request_with(
-            "POST",
-            "/v1/complete",
-            r#"{"schema": "ghost", "query": "a~b"}"#,
-            &[("x-ipe-trace-id", "err1")],
-        )
-        .unwrap();
-    assert_eq!(resp.status, 404);
-    // Wrap the recent ring many times over with cheap cached requests.
-    for i in 0..40 {
+    // Every trace's duration as the recorder reports it, read back right
+    // after its request, while it is still the newest in its ring shard.
+    let mut reported: Vec<(String, u64)> = Vec::new();
+    let mut send = |client: &mut Client, id: &str, body: &str, status: u16| {
         let resp = client
-            .request_with(
-                "POST",
-                "/v1/complete",
-                r#"{"query": "ta~name"}"#,
-                &[("x-ipe-trace-id", &format!("wrap{i}"))],
-            )
+            .request_with("POST", "/v1/complete", body, &[("x-ipe-trace-id", id)])
             .unwrap();
-        assert_eq!(resp.status, 200);
+        assert_eq!(resp.status, status, "{}", resp.body);
+        let (status, trace) = client
+            .request("GET", &format!("/v1/debug/requests/{id}"), "")
+            .unwrap();
+        assert_eq!(status, 200, "fresh trace {id} is not retained: {trace}");
+        let v = serde_json::parse_value_text(&trace).unwrap();
+        reported.push((id.to_owned(), as_u64(&get(&v, "duration_ns"))));
+    };
+    // A cold search, an errored request (unknown schema -> 404), then
+    // cheap cached requests wrapping the recent ring many times over.
+    let ta_name = r#"{"query": "ta~name"}"#;
+    send(&mut client, "cold", ta_name, 200);
+    send(
+        &mut client,
+        "err1",
+        r#"{"schema": "ghost", "query": "a~b"}"#,
+        404,
+    );
+    for i in 0..40 {
+        send(&mut client, &format!("wrap{i}"), ta_name, 200);
     }
-    // Both survive lookup after wraparound.
-    let (status, body) = client
-        .request("GET", "/v1/debug/requests/err1", "")
-        .unwrap();
-    assert_eq!(status, 200, "errored trace evicted: {body}");
-    let (status, body) = client
-        .request("GET", "/v1/debug/requests/slowpoke", "")
-        .unwrap();
-    assert_eq!(status, 200, "slowest trace evicted: {body}");
-    // The dump lists them in their always-keep pools.
     let (status, dump) = client.request("GET", "/v1/debug/requests", "").unwrap();
     assert_eq!(status, 200);
     let v = serde_json::parse_value_text(&dump).unwrap();
-    let Value::Seq(errors) = get(&v, "errors") else {
-        panic!("errors is not an array: {dump}");
+    let pool = |name: &str| -> Vec<(String, u64)> {
+        let Value::Seq(rows) = get(&v, name) else {
+            panic!("{name} is not an array: {dump}");
+        };
+        rows.iter()
+            .map(|r| match get(r, "trace_id") {
+                Value::Str(id) => (id, as_u64(&get(r, "duration_ns"))),
+                other => panic!("trace_id is not a string: {other:?}"),
+            })
+            .collect()
     };
-    assert!(
-        errors
-            .iter()
-            .any(|r| matches!(get(r, "trace_id"), Value::Str(id) if id == "err1")),
-        "{dump}"
-    );
-    let Value::Seq(slowest) = get(&v, "slowest") else {
-        panic!("slowest is not an array: {dump}");
-    };
-    assert!(
-        slowest
-            .iter()
-            .any(|r| matches!(get(r, "trace_id"), Value::Str(id) if id == "slowpoke")),
-        "{dump}"
-    );
+    // The errored trace survives in its always-keep pool.
+    assert!(pool("errors").iter().any(|(id, _)| id == "err1"), "{dump}");
+    // The slowest pool is full and holds the top-2 durations of every
+    // trace the recorder has reported...
+    let slowest = pool("slowest");
+    assert_eq!(slowest.len(), 2, "{dump}");
+    let floor = slowest.iter().map(|(_, d)| *d).min().unwrap();
+    reported.extend(pool("recent"));
+    reported.extend(pool("errors"));
+    for (id, duration) in &reported {
+        assert!(
+            *duration <= floor || slowest.iter().any(|(s, _)| s == id),
+            "{id} took {duration} ns, above the slowest pool's floor {floor}: {dump}"
+        );
+    }
+    // ...and its slowest member is still retrievable. (Each recorded
+    // request, the dump itself included, can displace only the pool's
+    // fastest member.)
+    let (id, _) = &slowest[0];
+    let (status, body) = client
+        .request("GET", &format!("/v1/debug/requests/{id}"), "")
+        .unwrap();
+    assert_eq!(status, 200, "slowest trace {id} evicted: {body}");
     // Ordinary traffic was evicted: the recent ring holds at most one
     // trace per shard (8 shards here) and the slowest reservoir two, so
-    // the vast majority of the 40 wrap requests must be gone. (Any one
-    // specific id may survive in the slowest pool under scheduler noise.)
+    // the vast majority of the 40 wrap requests must be gone.
     let mut evicted = 0;
     for i in 0..40 {
         let (status, _) = client
@@ -850,6 +851,109 @@ fn prometheus_exposition_lints_and_reports_cache_bytes() {
     let cache = get(&get(&v, "service"), "cache");
     assert_eq!(as_u64(&get(&cache, "bytes")), value as u64, "{body}");
     server.shutdown();
+}
+
+/// Flattens the numbers and bools under `v` into the Prometheus sample
+/// names they must appear under: the JSON path joined by `_`, `*_total`
+/// fields skipped (those names belong to the registry's counters).
+fn expected_gauges(name: &str, v: &Value, labels: &str, out: &mut Vec<(String, f64)>) {
+    let value = match v {
+        Value::Bool(b) => f64::from(u8::from(*b)),
+        Value::I64(n) => *n as f64,
+        Value::U64(n) => *n as f64,
+        Value::F64(n) => *n,
+        Value::Map(fields) => {
+            for (key, field) in fields {
+                if !key.ends_with("_total") {
+                    expected_gauges(&format!("{name}_{key}"), field, labels, out);
+                }
+            }
+            return;
+        }
+        _ => return,
+    };
+    out.push((format!("{name}{labels}"), value));
+}
+
+/// Every number and bool of the JSON `service` section, per-tenant rows
+/// included, appears in the Prometheus exposition with the same value.
+#[test]
+fn prometheus_gauges_mirror_json_service_section() {
+    // Unsampled, so the scrapes themselves leave `flight_recorded` alone.
+    let (server, mut client) = start_traced_server(|c| c.trace_sample_n = 0);
+    let (status, body) = client
+        .request("PUT", "/v1/tenants/acme", r#"{"cache_bytes": 1000}"#)
+        .unwrap();
+    assert_eq!(status, 201, "{body}");
+    for _ in 0..2 {
+        let (status, body) = client
+            .request("POST", "/v1/complete", r#"{"query": "ta~name"}"#)
+            .unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+    let (status, json) = client.request("GET", "/metrics", "").unwrap();
+    assert_eq!(status, 200);
+    let (status, text) = client
+        .request("GET", "/metrics?format=prometheus", "")
+        .unwrap();
+    assert_eq!(status, 200);
+    if let Err(problems) = ipe_obs::prom::lint(&text) {
+        panic!("prometheus lint failed: {problems:?}\n{text}");
+    }
+
+    let service = get(&serde_json::parse_value_text(&json).unwrap(), "service");
+    let mut expected = Vec::new();
+    expected_gauges("ipe_service", &service, "", &mut expected);
+    let Value::Seq(rows) = get(&service, "tenants") else {
+        panic!("service.tenants is not an array: {json}");
+    };
+    assert_eq!(rows.len(), 2, "{json}");
+    for row in &rows {
+        let Value::Str(tenant) = get(row, "tenant") else {
+            panic!("tenant is not a string: {json}");
+        };
+        let labels = format!("{{tenant=\"{tenant}\"}}");
+        expected_gauges("ipe_tenant", row, &labels, &mut expected);
+    }
+    for (sample, value) in &expected {
+        let line = text
+            .lines()
+            .find(|l| {
+                l.strip_prefix(sample.as_str())
+                    .is_some_and(|r| r.starts_with(' '))
+            })
+            .unwrap_or_else(|| panic!("no `{sample}` sample in:\n{text}"));
+        let got: f64 = line.rsplit(' ').next().unwrap().parse().unwrap();
+        assert_eq!(got, *value, "{line} vs JSON {json}");
+    }
+    for sample in [
+        "ipe_service_data_sets 0",
+        "ipe_service_durable 0",
+        "ipe_service_flight_recorded ",
+        "ipe_service_index_completes_indexed ",
+        "ipe_service_repl_records_applied 0",
+        "ipe_service_cache_hits 1",
+        "ipe_tenant_cache_hits{tenant=\"default\"} 1",
+        "ipe_tenant_cache_budget_bytes{tenant=\"acme\"} 1000",
+    ] {
+        assert!(text.contains(sample), "no `{sample}` in:\n{text}");
+    }
+    assert!(!text.contains("ipe_service_data_loaded"), "{text}");
+    server.shutdown();
+}
+
+/// The byte budget is the cache's only bound, so a zero budget is
+/// refused at start.
+#[test]
+fn zero_cache_budget_is_refused() {
+    let err = Server::start(ServiceConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        cache_bytes: 0,
+        ..Default::default()
+    })
+    .err()
+    .expect("a zero cache budget must not start");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
 }
 
 /// Route timers show up as histogram families with `_bucket`/`_sum`/

@@ -335,7 +335,7 @@ fn tenant_quotas_and_schemas_survive_restart() {
             .request(
                 "PUT",
                 "/v1/tenants/acme",
-                "{\"rate_per_sec\": 50.0, \"burst\": 7, \"default_e\": 3}",
+                "{\"rate_per_sec\": 50.0, \"burst\": 7, \"default_e\": 3, \"cache_bytes\": 1000}",
             )
             .unwrap();
         assert_eq!(status, 201, "{body}");
@@ -350,6 +350,19 @@ fn tenant_quotas_and_schemas_survive_restart() {
     let config = get(&v, "config");
     assert_eq!(as_u64(&get(&config, "burst")), 7, "{body}");
     assert_eq!(as_u64(&get(&config, "default_e")), 3, "{body}");
+    // `/metrics` reports the configured cache budget, not a per-shard
+    // rounding of it.
+    let (status, body) = c.request("GET", "/metrics", "").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let v = serde_json::parse_value_text(&body).unwrap();
+    let Value::Seq(rows) = get(&get(&v, "service"), "tenants") else {
+        panic!("service.tenants is not an array: {body}");
+    };
+    let acme = rows
+        .iter()
+        .find(|r| as_str(&get(r, "tenant")) == "acme")
+        .expect("acme row");
+    assert_eq!(as_u64(&get(acme, "cache_budget_bytes")), 1000, "{body}");
     // The recovered schema is back under its tenant, and the tenant's
     // default_e applies to requests that omit `e` (the query response
     // echoes the effective E).

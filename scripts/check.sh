@@ -51,6 +51,13 @@ cargo test -q -p ipe-obs prom
 cargo test -q -p ipe-service --test server prometheus_
 cargo test -q -p ipe-service --test server prometheus_ --features obs-off
 
+echo "== flight-recorder repeat =="
+# The flight-recorder tests run 20 times, so a timing flake shows here
+# before merge rather than in a later full run.
+for _ in $(seq 1 20); do
+  cargo test -q -p ipe-service --test server flight_recorder_
+done
+
 echo "== batch smoke =="
 ./target/release/batch_bench --smoke
 

@@ -9,7 +9,7 @@
 //! ipe gen      [--seed N] [--classes N]  (print a synthetic schema as JSON)
 //! ipe dot      [--schema FILE | --fixture NAME] [--inverses]
 //! ipe stats    [--schema FILE | --fixture NAME]
-//! ipe serve    [--addr HOST:PORT] [--reactors N] [--cache-capacity N] ...
+//! ipe serve    [--addr HOST:PORT] [--reactors N] [--cache-bytes N] ...
 //! ```
 
 use ipe::core::{complete_batch, explain, BatchOptions, Completer, CompletionConfig, SearchLimits};
@@ -40,8 +40,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--workers",
     "--queue-depth",
     "--timeout-ms",
-    "--cache-capacity",
-    "--cache-shards",
     "--cache-bytes",
     "--batch-threads",
     "--threads",
@@ -133,8 +131,7 @@ const USAGE: &str = "usage:
   ipe stats    [--schema FILE | --fixture NAME]
   ipe serve    [--schema FILE | --fixture NAME] [--addr HOST:PORT]
                [--reactors N] [--queue-depth N] [--timeout-ms N]
-               [--cache-capacity N] [--cache-shards N] [--cache-bytes N]
-               [--batch-threads N]
+               [--cache-bytes N] [--batch-threads N]
                [--data-dir DIR] [--fsync always|interval[:MS]|never]
                [--snapshot-every N] [--index on|off|lazy] [--report FILE]
                [--trace-sample N] [--slow-ms N] [--flight-capacity N]
@@ -167,10 +164,11 @@ Multi-tenancy: PUT/GET/DELETE /v1/tenants/:tenant manages tenant
 namespaces (quotas, per-tenant defaults, cache budgets; persisted to
 DIR/tenants.json with --data-dir), and /v1/t/:tenant/... scopes the
 schema/complete/batch/data/query routes to one tenant — the bare routes
-are the built-in `default` tenant. --cache-bytes N sets the default byte
-budget for each tenant's cache partition (0 = unlimited); a tenant's own
-`cache_bytes` overrides it. Over-quota requests answer 429 with a
-Retry-After header and a machine-readable retry envelope.
+are the built-in `default` tenant. --cache-bytes N sets the byte budget
+of each tenant's cache partition (default 64 MiB, the cache's only
+bound, so it must be positive); a tenant's own `cache_bytes` overrides
+it. Over-quota requests answer 429 with a Retry-After header and a
+machine-readable retry envelope.
 
 With --follow HOST:PORT, `serve` runs as a read-only follower of the
 leader at that address: it tails the leader's WAL over
@@ -228,10 +226,8 @@ struct Opts {
     reactors: usize,
     queue_depth: usize,
     timeout_ms: u64,
-    cache_capacity: usize,
-    cache_shards: usize,
     /// `--cache-bytes N` for `serve`: default byte budget applied to each
-    /// tenant's completion-cache partition (0 = unlimited).
+    /// tenant's completion-cache partition.
     cache_bytes: u64,
     batch_threads: usize,
     threads: usize,
@@ -274,8 +270,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut reactors = service_defaults.reactors;
     let mut queue_depth = service_defaults.queue_depth;
     let mut timeout_ms = service_defaults.request_timeout.as_millis() as u64;
-    let mut cache_capacity = service_defaults.cache_capacity;
-    let mut cache_shards = service_defaults.cache_shards;
     let mut cache_bytes = service_defaults.cache_bytes;
     let mut batch_threads = service_defaults.batch_threads;
     let mut threads = 4usize;
@@ -334,20 +328,17 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     .parse()
                     .map_err(|_| "--timeout-ms must be a number")?
             }
-            "--cache-capacity" => {
-                cache_capacity = grab("--cache-capacity")?
-                    .parse()
-                    .map_err(|_| "--cache-capacity must be a number")?
-            }
-            "--cache-shards" => {
-                cache_shards = grab("--cache-shards")?
-                    .parse()
-                    .map_err(|_| "--cache-shards must be a number")?
+            "--cache-capacity" | "--cache-shards" => {
+                return Err(format!(
+                    "{a} was removed: the cache is bounded by --cache-bytes N alone"
+                ))
             }
             "--cache-bytes" => {
                 cache_bytes = grab("--cache-bytes")?
                     .parse()
-                    .map_err(|_| "--cache-bytes must be a number")?
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or("--cache-bytes must be a positive number")?
             }
             "--batch-threads" => {
                 batch_threads = grab("--batch-threads")?
@@ -438,8 +429,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         reactors,
         queue_depth,
         timeout_ms,
-        cache_capacity,
-        cache_shards,
         cache_bytes,
         batch_threads,
         threads,
@@ -707,8 +696,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         reactors: opts.reactors,
         queue_depth: opts.queue_depth,
         request_timeout: std::time::Duration::from_millis(opts.timeout_ms),
-        cache_capacity: opts.cache_capacity,
-        cache_shards: opts.cache_shards,
         cache_bytes: opts.cache_bytes,
         batch_threads: opts.batch_threads,
         data_dir: opts.data_dir.clone().map(std::path::PathBuf::from),
@@ -755,8 +742,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         opts.reactors.to_string()
     };
     println!(
-        "({} reactor(s), {} connection(s) per reactor, cache capacity {} over {} shard(s), request timeout {}ms)",
-        reactors_desc, opts.queue_depth, opts.cache_capacity, opts.cache_shards, opts.timeout_ms
+        "({} reactor(s), {} connection(s) per reactor, cache budget {} bytes per tenant, request timeout {}ms)",
+        reactors_desc, opts.queue_depth, opts.cache_bytes, opts.timeout_ms
     );
     println!(
         "endpoints: POST /v1/complete  POST /v1/complete/batch  GET /v1/schemas  \

@@ -118,3 +118,28 @@ fn report_flag_composes_with_serve() {
     assert!(report_text.contains("\"service\""), "{report_text}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The cache has one bound: the retired `--cache-capacity` and
+/// `--cache-shards` fail naming `--cache-bytes`, and a zero budget is
+/// refused. The address cannot bind, so a flag that parsed by mistake
+/// fails on the bind instead of leaving a server running.
+#[test]
+fn serve_has_one_cache_bound() {
+    for (flag, value) in [
+        ("--cache-capacity", "4096"),
+        ("--cache-shards", "16"),
+        ("--cache-bytes", "0"),
+    ] {
+        let out = ipe()
+            .args(["serve", "--addr", "999.999.999.999:1", flag, value])
+            .output()
+            .expect("run ipe");
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag) && stderr.contains("--cache-bytes"),
+            "{flag} {value}: {stderr}"
+        );
+        assert!(!stderr.contains("cannot start on"), "{flag}: {stderr}");
+    }
+}
