@@ -52,6 +52,8 @@ pub fn optimal_path_labels<N, Ed, A: PathAlgebra>(
         return (vec![algebra.identity()], state.stats);
     }
     state.traverse(source, algebra.identity());
+    ipe_obs::counter!("algebra.solver.calls", state.stats.calls);
+    ipe_obs::counter!("algebra.solver.edges", state.stats.edges_considered);
     (state.best_t, state.stats)
 }
 
@@ -73,7 +75,6 @@ where
 {
     fn traverse(&mut self, v: NodeId, l_v: A::Label) {
         self.stats.calls += 1;
-        ipe_obs::counter!("algebra.solver.calls", 1);
         self.visited[v.index()] = true;
         // Lines (2)-(4): explore edges into T out of order, so complete
         // paths are discovered as early as possible.
@@ -81,7 +82,6 @@ where
             let edge = self.graph.edge(eid);
             if edge.target == self.target {
                 self.stats.edges_considered += 1;
-                ipe_obs::counter!("algebra.solver.edges", 1);
                 let label = self.algebra.con(&l_v, &(self.edge_label)(eid, edge));
                 agg_into(self.algebra, &mut self.best_t, &label);
             }
@@ -94,7 +94,6 @@ where
                 continue;
             }
             self.stats.edges_considered += 1;
-            ipe_obs::counter!("algebra.solver.edges", 1);
             let l_u = self.algebra.con(&l_v, &(self.edge_label)(eid, edge));
             // Line (7): acyclicity. Line (8): monotonicity bound against
             // best[T]. Line (9): distributivity bound against best[u].

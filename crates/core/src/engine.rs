@@ -10,7 +10,7 @@ use crate::preempt::apply_inheritance_criterion;
 use crate::resolve::{resolve_ast, RStep};
 use ipe_algebra::moose::{agg_star, agg_star_into, in_caution_set, rank, survives_agg_star, Label};
 use ipe_index::{GoalTable, SearchIndex};
-use ipe_obs::{EventKind, SearchTrace};
+use ipe_obs::{counter, Counter, EventKind, SearchTrace, SpanGuard};
 use ipe_parser::PathExprAst;
 use ipe_schema::{ClassId, RelId, Schema, Symbol};
 use std::sync::Arc;
@@ -50,7 +50,8 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    pub(crate) fn absorb(&mut self, other: SearchStats) {
+    /// Adds `other`'s counts to these.
+    pub fn absorb(&mut self, other: SearchStats) {
         self.calls += other.calls;
         self.edges_considered += other.edges_considered;
         self.pruned_visited += other.pruned_visited;
@@ -62,6 +63,56 @@ impl SearchStats {
         self.pruned_index_bound += other.pruned_index_bound;
         self.index_segment_rejections += other.index_segment_rejections;
         self.completions_recorded += other.completions_recorded;
+    }
+
+    /// Every counter as `(field name, value)`, in declaration order: the
+    /// span attributes, the report's stats and the access log's prune
+    /// total all read this list.
+    pub(crate) fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        self.rows()
+            .into_iter()
+            .map(|(name, _, value)| (name, value))
+    }
+
+    /// Expansions cut by any bound: the sum of the `pruned_*` fields.
+    pub fn pruned(&self) -> u64 {
+        self.fields()
+            .filter_map(|(name, value)| name.starts_with("pruned_").then_some(value))
+            .sum()
+    }
+
+    /// Publishes one finished segment search, aborted ones included:
+    /// attaches every field to `span` and adds it to its registry counter.
+    pub(crate) fn publish(&self, span: &mut SpanGuard) {
+        for (name, counter, value) in self.rows() {
+            span.attr(name, value);
+            // A counter registers on its first add; skipping zeros keeps
+            // never-seen events out of the snapshots.
+            if value > 0 {
+                counter.add(value);
+            }
+        }
+    }
+
+    /// The field list, written once, with the registry counter each field
+    /// is published to. Both index prunes feed one registry name.
+    #[rustfmt::skip]
+    fn rows(&self) -> [(&'static str, &'static Counter, u64); 11] {
+        const BY_INDEX: &str = "search.expansions_pruned_by_index";
+        const REJECTED: &str = "search.segments_rejected_by_index";
+        [
+            ("calls", counter!("core.search.calls"), self.calls),
+            ("edges_considered", counter!("core.search.edges"), self.edges_considered),
+            ("pruned_visited", counter!("core.search.pruned_visited"), self.pruned_visited),
+            ("pruned_best_t", counter!("core.search.pruned_best_t"), self.pruned_best_t),
+            ("pruned_best_u", counter!("core.search.pruned_best_u"), self.pruned_best_u),
+            ("caution_overrides", counter!("core.search.caution_overrides"), self.caution_overrides),
+            ("depth_limited", counter!("core.search.depth_limited"), self.depth_limited),
+            ("pruned_index_unreachable", counter!(BY_INDEX), self.pruned_index_unreachable),
+            ("pruned_index_bound", counter!(BY_INDEX), self.pruned_index_bound),
+            ("index_segment_rejections", counter!(REJECTED), self.index_segment_rejections),
+            ("completions_recorded", counter!("core.search.completions"), self.completions_recorded),
+        ]
     }
 }
 
@@ -318,7 +369,7 @@ impl<'s> Completer<'s> {
             search.traverse(anchor, prefix.label, &mut on_path, &mut path_buf)
         };
         *trace = search.trace.take();
-        attach_stats(&mut seg_span, &search.stats);
+        search.stats.publish(&mut seg_span);
         seg_span.finish();
         r?;
         let SegmentSearch {
@@ -430,7 +481,7 @@ pub(crate) struct SegmentSearch<'c, 's> {
     /// general-case driver, where global optimality cannot be decided
     /// segment-locally).
     record_all: bool,
-    /// `best[u]` of Algorithm 2, maintained only by the Paper modes.
+    /// `best[u]` of Algorithm 2, allocated only in the Paper modes.
     best: Vec<Vec<Label>>,
     best_t: Vec<Label>,
     pub(crate) found: Vec<Completion>,
@@ -454,11 +505,15 @@ impl<'c, 's> SegmentSearch<'c, 's> {
             .index
             .as_ref()
             .and_then(|ix| ix.goal(completer.schema, target_name));
+        let best_classes = match completer.config.pruning {
+            Pruning::Paper | Pruning::PaperNoCaution => completer.schema.class_count(),
+            Pruning::Safe | Pruning::None => 0,
+        };
         SegmentSearch {
             completer,
             target_name,
             record_all,
-            best: vec![Vec::new(); completer.schema.class_count()],
+            best: vec![Vec::new(); best_classes],
             best_t: Vec::new(),
             found: Vec::new(),
             stats: SearchStats::default(),
@@ -480,7 +535,6 @@ impl<'c, 's> SegmentSearch<'c, 's> {
             return false;
         }
         self.stats.index_segment_rejections += 1;
-        ipe_obs::counter!("search.segments_rejected_by_index", 1);
         self.trace.record(observe::ev(
             EventKind::PruneIndex,
             anchor,
@@ -503,13 +557,26 @@ impl<'c, 's> SegmentSearch<'c, 's> {
         on_path: &mut Vec<bool>,
         path: &mut Vec<RelId>,
     ) -> Result<(), CompleteError> {
+        let goal = self.goal.clone();
+        self.expand(goal.as_deref(), v, l_v, on_path, path)
+    }
+
+    /// The recursion behind [`traverse`](SegmentSearch::traverse), with the
+    /// goal table borrowed for the whole segment.
+    fn expand(
+        &mut self,
+        goal: Option<&GoalTable>,
+        v: ClassId,
+        l_v: Label,
+        on_path: &mut Vec<bool>,
+        path: &mut Vec<RelId>,
+    ) -> Result<(), CompleteError> {
         let schema = self.completer.schema;
         let cfg = &self.completer.config;
         self.stats.calls += 1;
         if self.stats.calls.is_multiple_of(LIMIT_CHECK_INTERVAL) {
             self.limits.check()?;
         }
-        ipe_obs::counter!("core.search.calls", 1);
         self.trace
             .record(observe::ev(EventKind::Expand, v, &l_v, path.len()));
         on_path[v.index()] = true;
@@ -542,7 +609,6 @@ impl<'c, 's> SegmentSearch<'c, 's> {
                     label,
                 });
                 self.stats.completions_recorded += 1;
-                ipe_obs::counter!("core.search.completions", 1);
                 self.trace.record(observe::ev(
                     EventKind::Emit,
                     rel.target,
@@ -556,8 +622,7 @@ impl<'c, 's> SegmentSearch<'c, 's> {
         // best-completion-bound first, so strong completions are found
         // early and the branch-and-bound sets bite sooner; otherwise the
         // engine's static per-class order is used.
-        let goal = self.goal.clone();
-        let out_order: &[RelId] = match &goal {
+        let out_order: &[RelId] = match goal {
             Some(g) => g.ordered_out(v),
             None => &self.completer.sorted_out[v.index()],
         };
@@ -565,10 +630,8 @@ impl<'c, 's> SegmentSearch<'c, 's> {
             let rel = schema.rel(rid);
             let u = rel.target;
             self.stats.edges_considered += 1;
-            ipe_obs::counter!("core.search.edges", 1);
             if on_path[u.index()] {
                 self.stats.pruned_visited += 1;
-                ipe_obs::counter!("core.search.pruned_visited", 1);
                 self.trace
                     .record(observe::ev(EventKind::PruneVisited, u, &l_v, path.len()));
                 continue;
@@ -579,7 +642,6 @@ impl<'c, 's> SegmentSearch<'c, 's> {
             // A completion through u needs at least two more edges.
             if path.len() + 2 > cfg.max_depth {
                 self.stats.depth_limited += 1;
-                ipe_obs::counter!("core.search.depth_limited", 1);
                 self.trace
                     .record(observe::ev(EventKind::PruneDepth, u, &l_v, path.len()));
                 continue;
@@ -594,10 +656,9 @@ impl<'c, 's> SegmentSearch<'c, 's> {
             // Index reachability prune: when the closure proves no walk from
             // u ever reaches a target-name edge, no simple path can either.
             // Sound in every mode, including record_all.
-            if let Some(g) = &goal {
+            if let Some(g) = goal {
                 if !g.reachable(u) {
                     self.stats.pruned_index_unreachable += 1;
-                    ipe_obs::counter!("search.expansions_pruned_by_index", 1);
                     self.trace
                         .record(observe::ev(EventKind::PruneIndex, u, &l_v, path.len()));
                     continue;
@@ -613,7 +674,7 @@ impl<'c, 's> SegmentSearch<'c, 's> {
             // completion. Disabled when recording all completions or when
             // pruning is off, where dominated paths must still be emitted.
             if !self.record_all && cfg.pruning != Pruning::None {
-                if let Some(g) = &goal {
+                if let Some(g) = goal {
                     if let (Some(r_hat), Some(s_hat)) = (
                         g.best_rank_from(Some(l_u.connector), u),
                         g.best_semlen_from(l_u.semlen, l_u.last, u),
@@ -624,7 +685,6 @@ impl<'c, 's> SegmentSearch<'c, 's> {
                             });
                         if cut {
                             self.stats.pruned_index_bound += 1;
-                            ipe_obs::counter!("search.expansions_pruned_by_index", 1);
                             self.trace.record(observe::ev(
                                 EventKind::PruneIndex,
                                 u,
@@ -639,11 +699,11 @@ impl<'c, 's> SegmentSearch<'c, 's> {
             if !self.should_explore(&l_u, u, path.len()) {
                 continue;
             }
-            if matches!(cfg.pruning, Pruning::Paper | Pruning::PaperNoCaution) {
-                agg_star_into(&mut self.best[u.index()], &l_u, cfg.e);
+            if let Some(best_u) = self.best.get_mut(u.index()) {
+                agg_star_into(best_u, &l_u, cfg.e);
             }
             path.push(rid);
-            let r = self.traverse(u, l_u, on_path, path);
+            let r = self.expand(goal, u, l_u, on_path, path);
             path.pop();
             r?;
         }
@@ -659,7 +719,6 @@ impl<'c, 's> SegmentSearch<'c, 's> {
                 // Line (9): l_u ∈ AGG*({l_u} ∪ best[T]).
                 if !survives_agg_star(l_u, &self.best_t, cfg.e) {
                     self.stats.pruned_best_t += 1;
-                    ipe_obs::counter!("core.search.pruned_best_t", 1);
                     self.trace
                         .record(observe::ev(EventKind::CutBestT, u, l_u, depth));
                     return false;
@@ -675,13 +734,11 @@ impl<'c, 's> SegmentSearch<'c, 's> {
                         .any(|b| in_caution_set(l_u.connector, b.connector));
                 if caution {
                     self.stats.caution_overrides += 1;
-                    ipe_obs::counter!("core.search.caution_overrides", 1);
                     self.trace
                         .record(observe::ev(EventKind::CautionOverride, u, l_u, depth));
                     true
                 } else {
                     self.stats.pruned_best_u += 1;
-                    ipe_obs::counter!("core.search.pruned_best_u", 1);
                     self.trace
                         .record(observe::ev(EventKind::CutBestU, u, l_u, depth));
                     false
@@ -703,7 +760,6 @@ impl<'c, 's> SegmentSearch<'c, 's> {
                     .any(|b| rank(b.connector) < rank(l_u.connector))
                 {
                     self.stats.pruned_best_t += 1;
-                    ipe_obs::counter!("core.search.pruned_best_t", 1);
                     self.trace
                         .record(observe::ev(EventKind::CutBestT, u, l_u, depth));
                     return false;
@@ -712,7 +768,6 @@ impl<'c, 's> SegmentSearch<'c, 's> {
                     rank(b.connector) <= rank(l_u.connector) && b.semlen + 2 <= l_u.semlen
                 }) {
                     self.stats.pruned_best_t += 1;
-                    ipe_obs::counter!("core.search.pruned_best_t", 1);
                     self.trace
                         .record(observe::ev(EventKind::CutBestT, u, l_u, depth));
                     return false;
@@ -725,22 +780,6 @@ impl<'c, 's> SegmentSearch<'c, 's> {
             }
         }
     }
-}
-
-/// Attaches the [`SearchStats`] prune counters to a search span. No-op on
-/// an inert guard (unsampled request or `obs-off`).
-pub(crate) fn attach_stats(span: &mut ipe_obs::SpanGuard, stats: &SearchStats) {
-    span.attr("calls", stats.calls);
-    span.attr("edges_considered", stats.edges_considered);
-    span.attr("pruned_visited", stats.pruned_visited);
-    span.attr("pruned_best_t", stats.pruned_best_t);
-    span.attr("pruned_best_u", stats.pruned_best_u);
-    span.attr("caution_overrides", stats.caution_overrides);
-    span.attr("depth_limited", stats.depth_limited);
-    span.attr("pruned_index_unreachable", stats.pruned_index_unreachable);
-    span.attr("pruned_index_bound", stats.pruned_index_bound);
-    span.attr("index_segment_rejections", stats.index_segment_rejections);
-    span.attr("completions_recorded", stats.completions_recorded);
 }
 
 /// Whether at least `e` distinct semantic lengths among the labels matching

@@ -140,7 +140,7 @@ impl Driver<'_, '_> {
                     search.traverse(class, label, on_path, &mut seg_edges)
                 };
                 on_path[class.index()] = true;
-                crate::engine::attach_stats(&mut seg_span, &search.stats);
+                search.stats.publish(&mut seg_span);
                 seg_span.finish();
                 self.stats.absorb(search.stats);
                 self.trace = search.trace.take();

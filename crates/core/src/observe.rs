@@ -74,24 +74,11 @@ pub fn build_report(
     let mut report = Report::new();
     report
         .meta("query", query)
-        .stat("results", outcome.completions.len() as u64)
-        .stat("calls", outcome.stats.calls)
-        .stat("edges_considered", outcome.stats.edges_considered)
-        .stat("pruned_visited", outcome.stats.pruned_visited)
-        .stat("pruned_best_t", outcome.stats.pruned_best_t)
-        .stat("pruned_best_u", outcome.stats.pruned_best_u)
-        .stat("caution_overrides", outcome.stats.caution_overrides)
-        .stat("depth_limited", outcome.stats.depth_limited)
-        .stat(
-            "pruned_index_unreachable",
-            outcome.stats.pruned_index_unreachable,
-        )
-        .stat("pruned_index_bound", outcome.stats.pruned_index_bound)
-        .stat(
-            "index_segment_rejections",
-            outcome.stats.index_segment_rejections,
-        )
-        .stat("completions_recorded", outcome.stats.completions_recorded)
+        .stat("results", outcome.completions.len() as u64);
+    for (name, value) in outcome.stats.fields() {
+        report.stat(name, value);
+    }
+    report
         .capture_metrics()
         .set_trace(trace_to_views(schema, trace), trace.dropped());
     let texts: Vec<String> = outcome

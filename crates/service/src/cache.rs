@@ -360,7 +360,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     fn count_evictions(&self, evicted: u64) {
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            ipe_obs::counter!("service.cache.evict", evicted);
         }
     }
 
@@ -387,11 +386,9 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         match &got {
             Some(_) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                ipe_obs::counter!("service.cache.hit", 1);
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                ipe_obs::counter!("service.cache.miss", 1);
             }
         }
         got

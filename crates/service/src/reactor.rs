@@ -463,7 +463,6 @@ fn accept_all(
 /// fresh so the small write virtually always lands) and drops it.
 fn reject_busy(mut stream: TcpStream, state: &Arc<ServiceState>) {
     state.count_rejected();
-    ipe_obs::counter!("service.conn.rejected", 1);
     let bytes = render_response(
         503,
         "application/json",

@@ -363,7 +363,6 @@ pub(crate) fn follower_loop(state: Arc<ServiceState>) {
         }
         status.set_connected(false);
         status.reconnects.fetch_add(1, Ordering::Relaxed);
-        ipe_obs::counter!("repl.follower.reconnects", 1);
         sleep_unless_shutdown(&state, backoff.next_delay());
     }
     status.set_connected(false);
@@ -439,7 +438,6 @@ fn install_snapshot(
     status.applied_seq.store(snap.last_seq, Ordering::SeqCst);
     status.snapshots_installed.fetch_add(1, Ordering::Relaxed);
     status.refresh_caught_up();
-    ipe_obs::counter!("repl.follower.snapshots_installed", 1);
     Ok(())
 }
 

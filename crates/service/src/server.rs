@@ -336,9 +336,6 @@ pub struct ServiceState {
     /// Hot-key tracker feeding the warmup journal (only with a store).
     warmup: Option<WarmupTracker>,
     warmup_top_k: usize,
-    /// Reactor threads actually running (the `workers` metrics gauge
-    /// keeps its wire name across the rearchitecture).
-    workers: AtomicU64,
     batch_threads: usize,
     /// Live connections across all reactors (the `queue_depth` metrics
     /// gauge keeps its wire name).
@@ -346,8 +343,9 @@ pub struct ServiceState {
     requests_total: AtomicU64,
     rejected_total: AtomicU64,
     shutdown: AtomicBool,
-    /// One eventfd per reactor; `request_shutdown` fires them all so a
-    /// reactor blocked in `epoll_wait` observes the flag immediately.
+    /// One eventfd per running reactor (their count is the `workers`
+    /// metrics gauge); `request_shutdown` fires them all so a reactor
+    /// blocked in `epoll_wait` observes the flag immediately.
     wakers: Mutex<Vec<Arc<Wake>>>,
     bound_addr: OnceLock<SocketAddr>,
     /// Index policy (see [`ServiceConfig::index_mode`]).
@@ -398,7 +396,6 @@ impl ServiceState {
             repl_threads: Mutex::new(Vec::new()),
             warmup: track_warmup.then(WarmupTracker::new),
             warmup_top_k: config.warmup_top_k,
-            workers: AtomicU64::new(reactor_count(config.reactors) as u64),
             batch_threads: config.batch_threads.clamp(1, MAX_BATCH_THREADS as usize),
             live_conns: AtomicU64::new(0),
             requests_total: AtomicU64::new(0),
@@ -602,10 +599,8 @@ impl ServiceState {
     fn count_complete(&self, indexed: bool) {
         if indexed {
             self.completes_indexed.fetch_add(1, Ordering::Relaxed);
-            ipe_obs::counter!("service.complete.indexed", 1);
         } else {
             self.completes_unindexed.fetch_add(1, Ordering::Relaxed);
-            ipe_obs::counter!("service.complete.unindexed", 1);
         }
     }
 
@@ -651,7 +646,6 @@ pub(crate) fn spawn_index_build(state: &Arc<ServiceState>, entry: Arc<crate::Sch
             };
             if entry.set_index(Arc::clone(&index)) {
                 st.index_builds_completed.fetch_add(1, Ordering::SeqCst);
-                ipe_obs::counter!("service.index.builds", 1);
                 persist_index_sidecar(&st, &entry, &index);
             }
             st.index_builds_in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -784,7 +778,6 @@ impl Server {
                     let installed = loaded.map(|index| entry.set_index(index)).unwrap_or(false);
                     if installed {
                         state.index_sidecar_loads.fetch_add(1, Ordering::SeqCst);
-                        ipe_obs::counter!("service.index.sidecar_loads", 1);
                     } else {
                         spawn_index_build(&state, entry);
                     }
@@ -853,9 +846,6 @@ impl Server {
             return Err(last_spawn_err
                 .unwrap_or_else(|| io::Error::other("no reactor threads could be spawned")));
         }
-        state
-            .workers
-            .store(reactor_handles.len() as u64, Ordering::Relaxed);
         if state.follower.is_some() {
             let st = Arc::clone(&state);
             match std::thread::Builder::new()

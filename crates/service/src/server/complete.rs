@@ -143,7 +143,7 @@ fn probe_or_search(
     };
     search_span.attr("calls", outcome.stats.calls);
     search_span.finish();
-    obs.absorb_stats(&outcome.stats);
+    obs.search.absorb(outcome.stats);
     obs.cache_hit = Some(false);
     Ok(Searched {
         reply: cache.insert_reply(key, &entry.schema, outcome),
@@ -293,7 +293,7 @@ pub(super) fn handle_batch(
             let query = key.query.clone();
             views[miss_slots[done.index]] = Some(match done.result {
                 Ok(outcome) => {
-                    obs.absorb_stats(&outcome.stats);
+                    obs.search.absorb(outcome.stats);
                     let reply = cache.insert_reply(key, &entry.schema, outcome);
                     let completions = completion_views(&entry.schema, &reply.outcome);
                     BatchItemView {

@@ -139,22 +139,8 @@ pub(crate) struct ReqObs {
     /// Whether the completion cache answered (`None` for routes that do
     /// not consult it).
     pub(crate) cache_hit: Option<bool>,
-    /// Search node expansions performed by this request.
-    expansions: u64,
-    /// Search branches pruned by this request.
-    prunes: u64,
-}
-
-impl ReqObs {
-    /// Folds one search run's counters into the access-log totals.
-    pub(crate) fn absorb_stats(&mut self, stats: &SearchStats) {
-        self.expansions += stats.calls;
-        self.prunes += stats.pruned_visited
-            + stats.pruned_best_t
-            + stats.pruned_best_u
-            + stats.pruned_index_unreachable
-            + stats.pruned_index_bound;
-    }
+    /// The request's search effort, summed over its engine runs.
+    pub(crate) search: SearchStats,
 }
 
 /// The full request lifecycle around [`dispatch`]: trace-id extraction
@@ -164,7 +150,6 @@ impl ReqObs {
 /// header.
 fn handle_request(state: &Arc<ServiceState>, req: &Request) -> (Reply, String) {
     let _t = ipe_obs::timer!("service.request");
-    ipe_obs::counter!("service.requests", 1);
     state.requests_total.fetch_add(1, Ordering::Relaxed);
     let started = Instant::now();
     let trace_id = trace_id(req);
@@ -173,8 +158,7 @@ fn handle_request(state: &Arc<ServiceState>, req: &Request) -> (Reply, String) {
     let mut obs = ReqObs {
         span: trace.as_ref().map(|t| t.root_handle()).unwrap_or_default(),
         cache_hit: None,
-        expansions: 0,
-        prunes: 0,
+        search: SearchStats::default(),
     };
     let mut http_span = obs.span.child("http");
     if obs.span.is_enabled() {
@@ -260,7 +244,8 @@ fn access_log_line(
     let _ = write!(
         out,
         ", \"expansions\": {}, \"prunes\": {}, \"slow\": {slow}}}",
-        obs.expansions, obs.prunes
+        obs.search.calls,
+        obs.search.pruned()
     );
     out
 }

@@ -85,7 +85,7 @@ impl ServiceState {
             queue_depth: self.live_conns.load(Ordering::Relaxed),
             requests_total: self.requests_total.load(Ordering::Relaxed),
             rejected_total: self.rejected_total.load(Ordering::Relaxed),
-            workers: self.workers.load(Ordering::Relaxed),
+            workers: lock_recover(&self.wakers, "wakers").len() as u64,
             schemas: self.registry.list().len() as u64,
             data_sets: self.data.len() as u64,
             durable: self.store.is_some(),
@@ -345,8 +345,7 @@ pub fn metrics_prometheus(state: &ServiceState) -> String {
 /// Appends one gauge per number or bool under `value`, named by its
 /// dotted JSON path from `path` (`service.cache.bytes` renders as
 /// `ipe_service_cache_bytes`). Strings and arrays are skipped, and so
-/// are `*_total` fields: `service.requests_total` would take the name
-/// of the registry's `service.requests` counter.
+/// are `*_total` fields, since Prometheus keeps that suffix for counters.
 fn push_gauges(out: &mut Vec<Gauge>, path: &str, value: &Value, tenant: Option<&str>) {
     let number = match value {
         Value::Bool(b) => f64::from(u8::from(*b)),

@@ -275,6 +275,70 @@ fn metrics_reflect_cache_traffic() {
     server.shutdown();
 }
 
+/// Registry counters that once repeated a per-server `/metrics` field.
+const DELETED_COUNTERS: [&str; 11] = [
+    "service.requests",
+    "service.cache.hit",
+    "service.cache.miss",
+    "service.cache.evict",
+    "service.complete.indexed",
+    "service.complete.unindexed",
+    "service.index.builds",
+    "service.index.sidecar_loads",
+    "service.conn.rejected",
+    "repl.follower.reconnects",
+    "repl.follower.snapshots_installed",
+];
+
+/// Two servers in one process: each `/metrics` `service` section counts
+/// only its own traffic, and no process-wide registry counter repeats
+/// those counts.
+#[test]
+fn per_server_metrics_count_only_their_own_traffic() {
+    let (a, mut client_a) = start_server();
+    let (b, mut client_b) = start_server();
+    for _ in 0..3 {
+        let (status, body) = client_a
+            .request("POST", "/v1/complete", r#"{"query": "ta~name"}"#)
+            .unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+    for query in ["ta~name", "department~take"] {
+        let body = format!(r#"{{"query": "{query}"}}"#);
+        let (status, body) = client_b.request("POST", "/v1/complete", &body).unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+    // (requests, hits, misses): the `/metrics` request counts itself.
+    for (client, (requests, hits, misses)) in
+        [(&mut client_a, (4, 2, 1)), (&mut client_b, (3, 0, 2))]
+    {
+        let (status, body) = client.request("GET", "/metrics", "").unwrap();
+        assert_eq!(status, 200);
+        let v = serde_json::parse_value_text(&body).unwrap();
+        let service = get(&v, "service");
+        let count = |section: &str, key: &str| as_u64(&get(&get(&service, section), key));
+        assert_eq!(as_u64(&get(&service, "requests_total")), requests, "{body}");
+        assert_eq!(as_u64(&get(&service, "workers")), 4, "{body}");
+        assert_eq!(count("cache", "hits"), hits, "{body}");
+        assert_eq!(count("cache", "misses"), misses, "{body}");
+        let completes = count("index", "completes_indexed") + count("index", "completes_unindexed");
+        assert_eq!(completes, misses, "one engine run per miss: {body}");
+        for name in DELETED_COUNTERS {
+            assert!(get(&v, "counters").get(name).is_none(), "{name}: {body}");
+        }
+    }
+    let (status, text) = client_a
+        .request("GET", "/metrics?format=prometheus", "")
+        .unwrap();
+    assert_eq!(status, 200);
+    for name in DELETED_COUNTERS {
+        let family = format!("ipe_{}_total", name.replace('.', "_"));
+        assert!(!text.contains(&family), "{family} in:\n{text}");
+    }
+    a.shutdown();
+    b.shutdown();
+}
+
 /// `POST /v1/shutdown` answers the request, then the server drains and
 /// `join` returns.
 #[test]

@@ -15,7 +15,7 @@ echo "== tests =="
 cargo test -q --workspace
 
 echo "== tests (obs-off) =="
-cargo test -q -p ipe-obs -p ipe-core -p ipe-index -p ipe-oodb -p ipe-query -p ipe-repl -p ipe-service -p ipe-store -p ipe-tenant --features obs-off
+cargo test -q -p ipe-obs -p ipe-algebra -p ipe-core -p ipe-index -p ipe-oodb -p ipe-query -p ipe-repl -p ipe-service -p ipe-store -p ipe-tenant --features obs-off
 
 echo "== service smoke (incl. 64-connection reactor burst) =="
 serve_log="$(mktemp)"
