@@ -14,8 +14,8 @@ use std::time::Instant;
 static COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
 static TIMERS: Mutex<Vec<&'static Timer>> = Mutex::new(Vec::new());
 
-/// A named monotone counter. Create via [`counter!`]; the macro owns the
-/// per-call-site `static`.
+/// A named monotone counter. Create via [`counter!`](crate::counter);
+/// the macro owns the per-call-site `static`.
 pub struct Counter {
     name: &'static str,
     value: AtomicU64,
@@ -97,8 +97,8 @@ pub fn snapshot_counters() -> Vec<CounterSnapshot> {
 const BUCKETS: usize = 64;
 
 /// A named duration histogram with power-of-two nanosecond buckets.
-/// Create via [`timer!`]; recording is O(1): two relaxed adds plus one
-/// bucket add.
+/// Create via [`timer!`](crate::timer); recording is O(1): two relaxed
+/// adds plus one bucket add.
 pub struct Timer {
     name: &'static str,
     count: AtomicU64,

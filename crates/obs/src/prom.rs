@@ -11,21 +11,42 @@
 //! with `quantile="0.5"|"0.95"|"0.99"` samples derived from the log2
 //! histogram (the quantile is reported as the upper bound of the bucket
 //! where the cumulative count crosses the rank, i.e. within 2x of the
-//! true value). Callers append service-level gauges via [`Gauge`], which
-//! may carry labels; samples of one gauge family render together under a
-//! single `# HELP`/`# TYPE` pair.
+//! true value). Callers append service-level gauges and counters via
+//! [`Sample`], which may carry labels; samples of one family render
+//! together under a single `# HELP`/`# TYPE` pair.
 
 use crate::metrics::{snapshot_counters, snapshot_timers, TimerSnapshot};
 use std::fmt::Write as _;
 
-/// One service-level gauge sample supplied by the caller (e.g. cache
-/// bytes). Samples sharing a name form one family; they differ by labels.
+/// The Prometheus type of a caller-supplied [`Sample`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SampleKind {
+    /// A value that can go up and down (cache bytes, live connections).
+    Gauge,
+    /// A count that only grows; its name should end in `_total`.
+    Counter,
+}
+
+impl SampleKind {
+    fn type_name(self) -> &'static str {
+        match self {
+            SampleKind::Gauge => "gauge",
+            SampleKind::Counter => "counter",
+        }
+    }
+}
+
+/// One service-level sample supplied by the caller (e.g. cache bytes).
+/// Samples sharing a name form one family; they differ by labels.
 #[derive(Clone, Debug)]
-pub struct Gauge {
-    /// Dotted metric name (mangled like counter/timer names).
+pub struct Sample {
+    /// Dotted metric name (mangled like counter/timer names, without a
+    /// suffix added).
     pub name: String,
     /// HELP text of the family (the first sample's text is used).
     pub help: String,
+    /// TYPE of the family (the first sample's kind is used).
+    pub kind: SampleKind,
     /// Label pairs, e.g. `("tenant", "acme")`. Names must match
     /// `[a-zA-Z_][a-zA-Z0-9_]*`; values are escaped on render.
     pub labels: Vec<(String, String)>,
@@ -33,19 +54,28 @@ pub struct Gauge {
     pub value: f64,
 }
 
-impl Gauge {
+impl Sample {
     /// An unlabelled gauge.
-    pub fn new(name: impl Into<String>, help: impl Into<String>, value: f64) -> Gauge {
-        Gauge {
+    pub fn gauge(name: impl Into<String>, help: impl Into<String>, value: f64) -> Sample {
+        Sample {
             name: name.into(),
             help: help.into(),
+            kind: SampleKind::Gauge,
             labels: Vec::new(),
             value,
         }
     }
 
+    /// An unlabelled counter.
+    pub fn counter(name: impl Into<String>, help: impl Into<String>, value: f64) -> Sample {
+        Sample {
+            kind: SampleKind::Counter,
+            ..Sample::gauge(name, help, value)
+        }
+    }
+
     /// Adds one label pair.
-    pub fn label(mut self, name: impl Into<String>, value: impl Into<String>) -> Gauge {
+    pub fn label(mut self, name: impl Into<String>, value: impl Into<String>) -> Sample {
         self.labels.push((name.into(), value.into()));
         self
     }
@@ -100,8 +130,8 @@ fn derive_quantile(t: &TimerSnapshot, q: f64) -> u128 {
 }
 
 /// Renders the full exposition: every registered counter and timer plus
-/// the caller's gauges. Returns valid 0.0.4 text ending in a newline.
-pub fn render(gauges: &[Gauge]) -> String {
+/// the caller's samples. Returns valid 0.0.4 text ending in a newline.
+pub fn render(samples: &[Sample]) -> String {
     let mut out = String::with_capacity(4096);
     for c in snapshot_counters() {
         let fam = mangle(c.name) + "_total";
@@ -142,18 +172,18 @@ pub fn render(gauges: &[Gauge]) -> String {
     }
     // Group samples by family, in order of first appearance: the format
     // wants one HELP/TYPE per family and a family's samples together.
-    let mut families: Vec<(String, Vec<&Gauge>)> = Vec::new();
-    for g in gauges {
+    let mut families: Vec<(String, Vec<&Sample>)> = Vec::new();
+    for g in samples {
         let fam = mangle(&g.name);
         match families.iter_mut().find(|(f, _)| *f == fam) {
-            Some((_, samples)) => samples.push(g),
+            Some((_, members)) => members.push(g),
             None => families.push((fam, vec![g])),
         }
     }
-    for (fam, samples) in families {
-        let _ = writeln!(out, "# HELP {fam} {}", samples[0].help);
-        let _ = writeln!(out, "# TYPE {fam} gauge");
-        for g in samples {
+    for (fam, members) in families {
+        let _ = writeln!(out, "# HELP {fam} {}", members[0].help);
+        let _ = writeln!(out, "# TYPE {fam} {}", members[0].kind.type_name());
+        for g in members {
             out.push_str(&fam);
             push_labels(&mut out, &g.labels);
             out.push(' ');
@@ -205,12 +235,12 @@ fn valid_label_name(name: &str) -> bool {
 }
 
 /// One parsed sample line: metric name, label pairs, value text.
-type Sample<'a> = (&'a str, Vec<(String, String)>, &'a str);
+type SampleLine<'a> = (&'a str, Vec<(String, String)>, &'a str);
 
 /// Splits a sample line into its name, labels, and value text. A label
 /// set must be `{name="value",...}` with well-formed, distinct names and
 /// values using only the `\\`, `\"`, `\n` escapes.
-fn split_sample(line: &str) -> Result<Sample<'_>, String> {
+fn split_sample(line: &str) -> Result<SampleLine<'_>, String> {
     let Some(open) = line.find('{') else {
         let (name, value) = line.split_once(' ').ok_or("no value")?;
         return Ok((name, Vec::new(), value.trim()));
@@ -413,17 +443,22 @@ mod tests {
         static T: crate::Timer = crate::Timer::new("test.prom.latency");
         T.record_ns(100);
         T.record_ns(100_000);
-        let text = render(&[Gauge::new(
-            "test.prom.cache.bytes",
-            "Bytes held by the test cache.",
-            1234.0,
-        )]);
+        let text = render(&[
+            Sample::gauge(
+                "test.prom.cache.bytes",
+                "Bytes held by the test cache.",
+                1234.0,
+            ),
+            Sample::counter("test.prom.served_total", "Requests served.", 7.0),
+        ]);
         assert!(text.contains("# TYPE ipe_test_prom_hits_total counter"));
         assert!(text.contains("# TYPE ipe_test_prom_latency_ns histogram"));
         assert!(text.contains("ipe_test_prom_latency_ns_bucket{le=\"+Inf\"}"));
         assert!(text.contains("ipe_test_prom_latency_ns_quantile{quantile=\"0.5\"}"));
         assert!(text.contains("# TYPE ipe_test_prom_cache_bytes gauge"));
         assert!(text.contains("ipe_test_prom_cache_bytes 1234"));
+        assert!(text.contains("# TYPE ipe_test_prom_served_total counter"));
+        assert!(text.contains("ipe_test_prom_served_total 7"));
         if let Err(errs) = lint(&text) {
             panic!("lint failed: {errs:?}");
         }
@@ -484,9 +519,9 @@ mod tests {
     #[test]
     fn labelled_gauges_share_one_family_header() {
         let text = render(&[
-            Gauge::new("test.labelled", "Per-tenant value.", 1.0).label("tenant", "a"),
-            Gauge::new("test.other", "Other.", 3.0),
-            Gauge::new("test.labelled", "Per-tenant value.", 2.0).label("tenant", "b\"\\\n"),
+            Sample::gauge("test.labelled", "Per-tenant value.", 1.0).label("tenant", "a"),
+            Sample::gauge("test.other", "Other.", 3.0),
+            Sample::gauge("test.labelled", "Per-tenant value.", 2.0).label("tenant", "b\"\\\n"),
         ]);
         assert_eq!(
             text.matches("# HELP ipe_test_labelled ").count(),

@@ -23,6 +23,7 @@
 //! [`purge_schema`]: ShardedLru::purge_schema
 
 use crate::api::CompleteResponse;
+use crate::sync::{lock_recover, read_recover, write_recover};
 use ipe_core::{CompletionConfig, Pruning, SearchOutcome};
 use ipe_schema::Schema;
 use std::collections::HashMap;
@@ -342,7 +343,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         let evicted = self
             .shards
             .iter()
-            .map(|s| Self::lock_shard(s).evict_to(share))
+            .map(|s| lock_recover(s).evict_to(share))
             .sum();
         self.count_evictions(evicted);
     }
@@ -369,20 +370,9 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         &self.shards[(h.finish() as usize) & (self.shards.len() - 1)]
     }
 
-    /// Locks a shard, recovering from poisoning: the cache is advisory
-    /// (worst case a stale recency order), so dying on a lock a panicking
-    /// request poisoned would trade a cosmetic inconsistency for an
-    /// outage.
-    fn lock_shard<'a>(shard: &'a Mutex<Shard<K, V>>) -> std::sync::MutexGuard<'a, Shard<K, V>> {
-        shard.lock().unwrap_or_else(|poisoned| {
-            ipe_obs::counter!("service.lock.poison_recovered", 1);
-            poisoned.into_inner()
-        })
-    }
-
     /// Looks `key` up, refreshing its recency on a hit.
     pub fn get(&self, key: &K) -> Option<V> {
-        let got = Self::lock_shard(self.shard_of(key)).get(key);
+        let got = lock_recover(self.shard_of(key)).get(key);
         match &got {
             Some(_) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -405,22 +395,19 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     /// the budget and the `cache.bytes` gauge.
     pub fn insert_weighted(&self, key: K, value: V, bytes: usize) {
         let share = self.shard_budget();
-        let evicted = Self::lock_shard(self.shard_of(&key)).insert(key, value, bytes, share);
+        let evicted = lock_recover(self.shard_of(&key)).insert(key, value, bytes, share);
         self.count_evictions(evicted);
     }
 
     /// Live entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| Self::lock_shard(s).map.len())
-            .sum()
+        self.shards.iter().map(|s| lock_recover(s).map.len()).sum()
     }
 
     /// Weight held by live entries across all shards, as declared at
     /// insertion.
     pub fn bytes(&self) -> u64 {
-        self.shards.iter().map(|s| Self::lock_shard(s).bytes).sum()
+        self.shards.iter().map(|s| lock_recover(s).bytes).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -448,7 +435,7 @@ impl<V: Clone> ShardedLru<CacheKey, V> {
     pub fn purge_schema(&self, schema_id: u64) -> u64 {
         self.shards
             .iter()
-            .map(|s| ShardedLru::lock_shard(s).retain(|k| k.schema_id != schema_id))
+            .map(|s| lock_recover(s).retain(|k| k.schema_id != schema_id))
             .sum()
     }
 }
@@ -497,20 +484,6 @@ impl CachePartitions {
         parts
     }
 
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, Arc<ReplyCache>>> {
-        self.inner.read().unwrap_or_else(|poisoned| {
-            ipe_obs::counter!("service.lock.poison_recovered", 1);
-            poisoned.into_inner()
-        })
-    }
-
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<String, Arc<ReplyCache>>> {
-        self.inner.write().unwrap_or_else(|poisoned| {
-            ipe_obs::counter!("service.lock.poison_recovered", 1);
-            poisoned.into_inner()
-        })
-    }
-
     /// Gets (or creates) `tenant`'s partition, applying `budget_bytes`
     /// (0 = the partition-set default). An existing partition is
     /// re-budgeted in place, evicting down to a smaller budget at once.
@@ -520,11 +493,11 @@ impl CachePartitions {
         } else {
             self.default_budget
         };
-        if let Some(cache) = self.read().get(tenant) {
+        if let Some(cache) = read_recover(&self.inner).get(tenant) {
             cache.set_budget(budget);
             return Arc::clone(cache);
         }
-        let mut map = self.write();
+        let mut map = write_recover(&self.inner);
         if let Some(cache) = map.get(tenant) {
             cache.set_budget(budget);
             return Arc::clone(cache);
@@ -538,7 +511,7 @@ impl CachePartitions {
     /// fresh default-budget partition (requests for a tenant created on
     /// the leader may reach a follower before its registry row does).
     pub fn partition(&self, tenant: &str) -> Arc<ReplyCache> {
-        if let Some(cache) = self.read().get(tenant) {
+        if let Some(cache) = read_recover(&self.inner).get(tenant) {
             return Arc::clone(cache);
         }
         self.ensure(tenant, 0)
@@ -548,7 +521,7 @@ impl CachePartitions {
     /// and declared bytes died with it. The `default` partition is
     /// reset (replaced by an empty one) rather than removed.
     pub fn drop_partition(&self, tenant: &str) -> (u64, u64) {
-        let mut map = self.write();
+        let mut map = write_recover(&self.inner);
         let Some(cache) = map.remove(tenant) else {
             return (0, 0);
         };
@@ -565,7 +538,7 @@ impl CachePartitions {
     /// Eagerly drops `schema_id`'s entries from `tenant`'s partition
     /// (schema ids are registry-global, so one partition suffices).
     pub fn purge_schema(&self, tenant: &str, schema_id: u64) -> u64 {
-        match self.read().get(tenant) {
+        match read_recover(&self.inner).get(tenant) {
             Some(cache) => cache.purge_schema(schema_id),
             None => 0,
         }
@@ -573,8 +546,7 @@ impl CachePartitions {
 
     /// Per-tenant statistics, name-ordered — the `/metrics` rows.
     pub fn stats_by_tenant(&self) -> Vec<(String, CacheStats)> {
-        let mut rows: Vec<(String, CacheStats)> = self
-            .read()
+        let mut rows: Vec<(String, CacheStats)> = read_recover(&self.inner)
             .iter()
             .map(|(name, cache)| (name.clone(), cache.stats()))
             .collect();

@@ -9,29 +9,10 @@
 //! gone stale relative to the live schema instead of evaluating against a
 //! mismatched class universe.
 
+use crate::sync::{read_recover, write_recover};
 use ipe_oodb::Database;
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-type Map = HashMap<String, Arc<DataEntry>>;
-
-/// Read-locks the map, recovering from poisoning (a panicking request
-/// handler elsewhere must not brick the data plane; the map is valid at
-/// every point a panic can interleave).
-fn read_recover(lock: &RwLock<Map>) -> RwLockReadGuard<'_, Map> {
-    lock.read().unwrap_or_else(|poisoned| {
-        ipe_obs::counter!("service.lock.poison_recovered", 1);
-        poisoned.into_inner()
-    })
-}
-
-/// Write-locks the map, recovering from poisoning (see [`read_recover`]).
-fn write_recover(lock: &RwLock<Map>) -> RwLockWriteGuard<'_, Map> {
-    lock.write().unwrap_or_else(|poisoned| {
-        ipe_obs::counter!("service.lock.poison_recovered", 1);
-        poisoned.into_inner()
-    })
-}
+use std::sync::{Arc, RwLock};
 
 /// One loaded database instance.
 pub struct DataEntry {

@@ -48,6 +48,7 @@ pub mod registry;
 pub mod repl;
 pub(crate) mod route;
 pub mod server;
+pub(crate) mod sync;
 
 pub use api::{
     AnswerView, CompleteRequest, CompleteResponse, CompletionView, DataPutRequest, DataPutResponse,

@@ -454,7 +454,7 @@ fn accept_all(
             token,
             Conn::new(stream, token, Instant::now() + cfg.request_timeout),
         );
-        state.conn_opened();
+        state.counters.queue_depth.incr();
         ipe_obs::counter!("service.conn.accepted", 1);
     }
 }
@@ -462,7 +462,7 @@ fn accept_all(
 /// Answers an over-capacity connection `503` (best-effort; the socket is
 /// fresh so the small write virtually always lands) and drops it.
 fn reject_busy(mut stream: TcpStream, state: &Arc<ServiceState>) {
-    state.count_rejected();
+    state.counters.rejected_total.incr();
     let bytes = render_response(
         503,
         "application/json",
@@ -519,7 +519,7 @@ fn reap_expired(conns: &mut HashMap<u64, Conn>, dead: &mut Vec<u64>, poller: &Po
 /// Removes a connection: the poller registration dies with the fd.
 fn close_conn(conns: &mut HashMap<u64, Conn>, token: u64, state: &Arc<ServiceState>) {
     if conns.remove(&token).is_some() {
-        state.conn_closed();
+        state.counters.queue_depth.decr();
         ipe_obs::counter!("service.conn.closed", 1);
     }
 }
@@ -539,7 +539,7 @@ fn detach_conn(
     let Some(conn) = conns.remove(&token) else {
         return;
     };
-    state.conn_closed();
+    state.counters.queue_depth.decr();
     let _ = poller.delete(conn.stream.as_raw_fd());
     if conn.stream.set_nonblocking(false).is_err() {
         return;

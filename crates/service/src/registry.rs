@@ -6,30 +6,12 @@
 //! swaps the map slot under a short write lock. Requests already running
 //! against the old `Arc` finish on the schema version they started with.
 
+use crate::sync::{read_recover, write_recover};
 use ipe_index::SearchIndex;
 use ipe_schema::Schema;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Read-locks the map, recovering from poisoning: a panic elsewhere must
-/// not condemn every future request to die on an `.expect()`. The map is
-/// structurally consistent at every await-free point (inserts build the
-/// entry before taking the lock), so the recovered value is always valid.
-fn read_recover<K, V>(lock: &RwLock<HashMap<K, V>>) -> RwLockReadGuard<'_, HashMap<K, V>> {
-    lock.read().unwrap_or_else(|poisoned| {
-        ipe_obs::counter!("service.lock.poison_recovered", 1);
-        poisoned.into_inner()
-    })
-}
-
-/// Write-locks the map, recovering from poisoning (see [`read_recover`]).
-fn write_recover<K, V>(lock: &RwLock<HashMap<K, V>>) -> RwLockWriteGuard<'_, HashMap<K, V>> {
-    lock.write().unwrap_or_else(|poisoned| {
-        ipe_obs::counter!("service.lock.poison_recovered", 1);
-        poisoned.into_inner()
-    })
-}
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// One registered schema version.
 #[derive(Debug)]

@@ -6,10 +6,11 @@
 //! from its epoll loop and hands the raw socket here, because a
 //! replication stream is the opposite of a request/response cycle: it
 //! lives for hours and is written to whenever the WAL grows. The thread
-//! snapshots the resume decision and subscribes to the [`ReplHub`] while
-//! holding the store mutex — the same mutex every WAL append holds when
-//! it publishes — so the suffix it reads from disk and the live feed it
-//! tails are gap-free and overlap-free by construction.
+//! snapshots the resume decision and subscribes to the
+//! [`ReplHub`](ipe_repl::ReplHub) while holding the store mutex — the
+//! same mutex every WAL append holds when it publishes — so the suffix it
+//! reads from disk and the live feed it tails are gap-free and
+//! overlap-free by construction.
 //!
 //! The follower side runs one thread for the whole process lifetime. It
 //! connects with a resume point, applies snapshots and records through
@@ -19,7 +20,8 @@
 //! number. Index sidecars are rebuilt off the apply path by the ordinary
 //! background build machinery.
 
-use crate::server::{lock_recover, push_reaped, spawn_index_build, ServiceState};
+use crate::server::{push_reaped, spawn_index_build, ServiceState};
+use crate::sync::{lock_recover, Counter};
 use ipe_repl::{Backoff, ClientError, ReplClient, ReplEvent, SubEvent, REPL_MAGIC};
 use ipe_schema::Schema;
 use ipe_store::{Snapshot, WalOp, WalRecord};
@@ -68,9 +70,12 @@ pub struct FollowerStatus {
     /// When the follower last observed `applied_seq >= leader_seq`;
     /// `lag_ms` is the time since.
     last_caught_up: Mutex<Instant>,
-    reconnects: AtomicU64,
-    records_applied: AtomicU64,
-    snapshots_installed: AtomicU64,
+    /// Times this follower has re-established the stream.
+    pub(crate) reconnects: Counter,
+    /// Records applied since startup.
+    pub(crate) records_applied: Counter,
+    /// Full snapshots installed since startup.
+    pub(crate) snapshots_installed: Counter,
 }
 
 impl FollowerStatus {
@@ -82,9 +87,9 @@ impl FollowerStatus {
             connected: AtomicBool::new(false),
             caught_up_once: AtomicBool::new(false),
             last_caught_up: Mutex::new(Instant::now()),
-            reconnects: AtomicU64::new(0),
-            records_applied: AtomicU64::new(0),
-            snapshots_installed: AtomicU64::new(0),
+            reconnects: Counter::default(),
+            records_applied: Counter::default(),
+            snapshots_installed: Counter::default(),
         }
     }
 
@@ -121,7 +126,7 @@ impl FollowerStatus {
         if self.lag_seq() == 0 && self.caught_up_once.load(Ordering::SeqCst) {
             return 0;
         }
-        lock_recover(&self.last_caught_up, "follower lag clock")
+        lock_recover(&self.last_caught_up)
             .elapsed()
             .as_millis()
             .min(u64::MAX as u128) as u64
@@ -131,21 +136,6 @@ impl FollowerStatus {
     /// with the leader, and has been level at least once this process.
     pub fn is_ready(&self) -> bool {
         self.connected() && self.caught_up_once.load(Ordering::SeqCst) && self.lag_seq() == 0
-    }
-
-    /// Times this follower has re-established the stream.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
-    }
-
-    /// Records applied since startup.
-    pub fn records_applied(&self) -> u64 {
-        self.records_applied.load(Ordering::Relaxed)
-    }
-
-    /// Full snapshots installed since startup.
-    pub fn snapshots_installed(&self) -> u64 {
-        self.snapshots_installed.load(Ordering::Relaxed)
     }
 
     fn set_connected(&self, up: bool) {
@@ -159,14 +149,14 @@ impl FollowerStatus {
 
     fn note_applied(&self, seq: u64) {
         self.applied_seq.store(seq, Ordering::SeqCst);
-        self.records_applied.fetch_add(1, Ordering::Relaxed);
+        self.records_applied.incr();
         self.refresh_caught_up();
     }
 
     fn refresh_caught_up(&self) {
         if self.applied_seq() >= self.leader_seq() {
             self.caught_up_once.store(true, Ordering::SeqCst);
-            *lock_recover(&self.last_caught_up, "follower lag clock") = Instant::now();
+            *lock_recover(&self.last_caught_up) = Instant::now();
         }
     }
 }
@@ -185,13 +175,13 @@ pub(crate) fn spawn_leader_stream(
     let spawn = std::thread::Builder::new()
         .name("ipe-repl-stream".to_owned())
         .spawn(move || {
-            st.repl_streams_active.fetch_add(1, Ordering::SeqCst);
+            st.counters.repl_streams_active.incr();
             ipe_obs::counter!("repl.stream.started", 1);
             if let Err(e) = serve_stream(&st, stream, pending_head, start) {
                 ipe_obs::counter!("repl.stream.errors", 1);
                 eprintln!("ipe-service: replication stream ended: {e}");
             }
-            st.repl_streams_active.fetch_sub(1, Ordering::SeqCst);
+            st.counters.repl_streams_active.decr();
         });
     match spawn {
         Ok(handle) => push_reaped(&state.repl_threads, "repl threads", handle),
@@ -227,7 +217,6 @@ fn serve_stream(
                 .store
                 .as_ref()
                 .expect("leader streams require a store"),
-            "store",
         );
         let last_seq = store.last_seq();
         let snapshot_mode = start.from_seq < store.compacted_through() || start.from_seq > last_seq;
@@ -362,7 +351,7 @@ pub(crate) fn follower_loop(state: Arc<ServiceState>) {
             }
         }
         status.set_connected(false);
-        status.reconnects.fetch_add(1, Ordering::Relaxed);
+        status.reconnects.incr();
         sleep_unless_shutdown(&state, backoff.next_delay());
     }
     status.set_connected(false);
@@ -410,7 +399,7 @@ fn install_snapshot(
     snap: Snapshot,
 ) -> Result<(), String> {
     if let Some(store) = &state.store {
-        lock_recover(store, "store")
+        lock_recover(store)
             .install_remote_snapshot(&snap)
             .map_err(|e| format!("snapshot install: {e}"))?;
     }
@@ -436,7 +425,7 @@ fn install_snapshot(
     }
     state.registry.reserve_ids(snap.max_id);
     status.applied_seq.store(snap.last_seq, Ordering::SeqCst);
-    status.snapshots_installed.fetch_add(1, Ordering::Relaxed);
+    status.snapshots_installed.incr();
     status.refresh_caught_up();
     Ok(())
 }
@@ -450,7 +439,7 @@ fn apply_record(
     if let Some(store) = &state.store {
         // The store refuses gaps and replays itself; its WAL keeps the
         // leader's sequence numbers, which is exactly the resume point.
-        lock_recover(store, "store")
+        lock_recover(store)
             .apply_remote(&record)
             .map_err(|e| format!("record seq {}: {e}", record.seq))?;
     } else if record.seq != status.applied_seq() + 1 {

@@ -39,6 +39,9 @@ pub(crate) enum Kind<'a> {
     Metrics,
     DebugRequests,
     DebugRequest(&'a str),
+    /// `POST /v1/debug/panic`, which exists only in this crate's test
+    /// build (it poisons the server's locks on purpose).
+    #[cfg(test)]
     DebugPanic,
     Shutdown,
     /// No such endpoint (`404`), including a wrong method on a known path.
@@ -105,6 +108,7 @@ impl<'a> Route<'a> {
             ("GET", "repl/stream") => Kind::ReplStream,
             ("GET", "repl/status") => Kind::ReplStatus,
             ("GET", "debug/requests") => Kind::DebugRequests,
+            #[cfg(test)]
             ("POST", "debug/panic") => Kind::DebugPanic,
             ("POST", "shutdown") => Kind::Shutdown,
             _ => {
@@ -169,7 +173,9 @@ impl Kind<'_> {
             Kind::Readyz => 7,
             Kind::ReplStream | Kind::ReplStatus => 8,
             Kind::Metrics => 9,
-            Kind::DebugRequests | Kind::DebugRequest(_) | Kind::DebugPanic => 10,
+            Kind::DebugRequests | Kind::DebugRequest(_) => 10,
+            #[cfg(test)]
+            Kind::DebugPanic => 10,
             Kind::Shutdown => 11,
             Kind::Other => 12,
         }

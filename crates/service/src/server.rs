@@ -1,7 +1,7 @@
 //! The long-lived disambiguation server: per-core epoll reactors, each
 //! owning an `SO_REUSEPORT` acceptor shard, and graceful shutdown.
 //!
-//! Each reactor (see [`crate::reactor`]) multiplexes its shard's
+//! Each reactor multiplexes its shard's
 //! connections off readiness events, so thousands of keep-alive
 //! connections cost memory, not threads. Connections beyond a reactor's
 //! live cap ([`ServiceConfig::queue_depth`]) are answered `503`
@@ -11,17 +11,17 @@
 //! connections.
 //!
 //! Lock poisoning is recovered, never propagated: a panicking request
-//! handler is caught and answered `500`, and any mutex it poisoned on the
+//! handler is caught and answered `500`, and any lock it poisoned on the
 //! way down is re-entered by taking the inner value (safe here because
-//! the WAL protocol is append-consistent — a torn logical update is
-//! impossible, the lock only orders appends).
+//! every lock guards append-ordered or idempotent state — the WAL
+//! protocol is append-consistent, the lock only orders appends).
 //!
 //! This module holds the configuration, the shared [`ServiceState`], and
-//! the server lifecycle. Requests are parsed into a
-//! [`Route`](crate::route::Route) and run by `dispatch` (tracing, timing,
-//! admission), which hands them to one module per resource: `complete`
-//! (the search routes), `schemas` (schemas and data), `tenants`, and
-//! `ops` (probes, replication, metrics, debug).
+//! the server lifecycle. Requests are parsed into a typed `Route` and run
+//! by `dispatch` (tracing, timing, admission), which hands them to one
+//! module per resource: `complete` (the search routes), `schemas`
+//! (schemas and data), `tenants`, and `ops` (probes, replication,
+//! metrics, debug).
 
 mod complete;
 mod dispatch;
@@ -38,6 +38,7 @@ use crate::epoll::Wake;
 use crate::reactor::{reactor_loop, ReactorConfig};
 use crate::registry::SchemaRegistry;
 use crate::repl::FollowerStatus;
+use crate::sync::{lock_recover, recovered};
 use complete::MAX_BATCH_THREADS;
 use ipe_core::{complete_batch, BatchOptions, Completer, CompletionConfig};
 use ipe_index::{IndexMode, IndexedSchema};
@@ -50,32 +51,17 @@ use ipe_store::{
     FsyncPolicy, Store, StoreConfig, WalOp, WalRecord, WarmupEntry,
 };
 use ipe_tenant::{scoped_name, split_scoped, TenantConfig, TenantRegistry, DEFAULT_TENANT};
+use ops::{IndexCounters, ServiceCounters};
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Locks a mutex, recovering from poisoning by taking the inner value.
-///
-/// Safe for every mutex in this crate: they guard append-ordered or
-/// idempotent state (the WAL store serializes appends, the warmup tracker
-/// holds advisory counters, the builder list holds join handles), so a
-/// panic mid-critical-section cannot leave a torn logical update behind.
-/// Before this existed, one panicking worker poisoned the store mutex and
-/// every later durable request died on `.expect("store poisoned")`.
-pub(crate) fn lock_recover<'a, T>(mutex: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> {
-    mutex.lock().unwrap_or_else(|poisoned| {
-        ipe_obs::counter!("service.lock.poison_recovered", 1);
-        eprintln!("ipe-service: recovered poisoned {what} lock");
-        poisoned.into_inner()
-    })
-}
-
-/// Tuning knobs of a [`Server`].
+/// Settings of a [`Server`]: each one is an `ipe serve` flag.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Bind address; port 0 picks an ephemeral port (see
@@ -108,9 +94,6 @@ pub struct ServiceConfig {
     /// WAL appends between snapshot compactions (0 = snapshot only on
     /// clean shutdown).
     pub snapshot_every: u64,
-    /// How many hot cache keys the warmup journal keeps (0 disables
-    /// warmup tracking and replay).
-    pub warmup_top_k: usize,
     /// Search-index policy. `On` builds every schema's index (all goal
     /// tables eagerly) in the background after a PUT and at recovery;
     /// `Lazy` builds the closure matrices in the background but grows
@@ -118,41 +101,21 @@ pub struct ServiceConfig {
     /// Completions issued while a build is still running are served
     /// unindexed — a PUT never waits for indexing.
     pub index_mode: IndexMode,
-    /// Artificial delay inserted before each background index build.
-    /// Testing knob: widens the build window so the build-in-progress
-    /// fallback path can be exercised deterministically. Zero in
-    /// production.
-    pub index_build_delay_ms: u64,
     /// Head sampling for request tracing: record a span tree for 1 in N
     /// requests (1 = every request, 0 = tracing off). An unsampled
     /// request pays one atomic check and nothing else.
     pub trace_sample_n: u64,
     /// Flight-recorder recent ring: how many completed request traces to
-    /// retain.
+    /// retain. The always-keep reservoirs scale with it: the slowest
+    /// `capacity / 16` requests and the last `capacity / 8` errored ones
+    /// (each at least 1).
     pub flight_capacity: usize,
-    /// Flight recorder: size of the always-keep slowest-requests
-    /// reservoir.
-    pub flight_keep_slowest: usize,
-    /// Flight recorder: size of the always-keep errored-requests ring.
-    pub flight_keep_errors: usize,
     /// Requests whose handler wall time reaches this many milliseconds
     /// are flagged slow and force-retained in the flight recorder
     /// (0 disables the threshold).
     pub slow_ms: u64,
     /// Emit one structured JSON access-log line per request to stderr.
     pub access_log: bool,
-    /// Cap on a `PUT /v1/data/:schema` load: explicit spec entries, or
-    /// projected objects of a `gen` request. Beyond it the load is a
-    /// `413`.
-    pub max_data_entries: usize,
-    /// Default wall-clock budget for `POST /v1/query`, in milliseconds
-    /// (a request's `deadline_ms` overrides, capped at 60 000).
-    pub query_deadline_ms: u64,
-    /// Testing knob: expose `POST /v1/debug/panic`, which panics while
-    /// holding the store and builder locks — the worst case for lock
-    /// poisoning. Exists so the poison-recovery path is provable end to
-    /// end; always `false` in production.
-    pub debug_panic_route: bool,
     /// Run as a read-only follower of the leader at this `host:port`:
     /// tail its replication stream, apply schema mutations locally, and
     /// answer schema writes `421` with the leader's address. `None` (the
@@ -172,18 +135,11 @@ impl Default for ServiceConfig {
             data_dir: None,
             fsync: FsyncPolicy::Always,
             snapshot_every: 256,
-            warmup_top_k: 64,
             index_mode: IndexMode::On,
-            index_build_delay_ms: 0,
             trace_sample_n: 1,
             flight_capacity: 256,
-            flight_keep_slowest: 16,
-            flight_keep_errors: 32,
             slow_ms: 500,
             access_log: false,
-            max_data_entries: 500_000,
-            query_deadline_ms: 2_000,
-            debug_panic_route: false,
             follow: None,
         }
     }
@@ -202,6 +158,8 @@ fn reactor_count(configured: usize) -> usize {
 /// Tenant-config sidecar file name inside the data directory.
 pub const TENANTS_FILE: &str = "tenants.json";
 
+/// How many hot cache keys the warmup journal keeps and replays.
+const WARMUP_TOP_K: usize = 64;
 /// Cap on distinct keys the warmup tracker counts; hotter keys win, new
 /// keys arriving at capacity are dropped (sampling, not precision).
 const WARMUP_TRACK_CAP: usize = 4096;
@@ -239,10 +197,7 @@ impl WarmupTracker {
         // one panic into a permanently frozen warmup journal.
         let mut counts = match self.inner.try_lock() {
             Ok(counts) => counts,
-            Err(TryLockError::Poisoned(poisoned)) => {
-                ipe_obs::counter!("service.lock.poison_recovered", 1);
-                poisoned.into_inner()
-            }
+            Err(TryLockError::Poisoned(poisoned)) => recovered(poisoned),
             Err(TryLockError::WouldBlock) => return,
         };
         let counts = &mut *counts;
@@ -261,7 +216,7 @@ impl WarmupTracker {
 
     /// The hottest `k` keys, descending.
     pub fn top_k(&self, k: usize) -> Vec<WarmupEntry> {
-        let counts = lock_recover(&self.inner, "warmup tracker");
+        let counts = lock_recover(&self.inner);
         let mut entries: Vec<WarmupEntry> = counts
             .by_schema
             .iter()
@@ -288,7 +243,7 @@ pub(crate) fn push_reaped(
     what: &str,
     handle: JoinHandle<()>,
 ) {
-    let mut live = lock_recover(threads, what);
+    let mut live = lock_recover(threads);
     let (finished, running): (Vec<_>, Vec<_>) = std::mem::take(&mut *live)
         .into_iter()
         .partition(|h| h.is_finished());
@@ -302,7 +257,7 @@ pub(crate) fn push_reaped(
     }
 }
 
-/// Shared state of a running server: registry, cache, and gauges.
+/// Shared state of a running server: registry, cache, and counters.
 pub struct ServiceState {
     /// The schema registry. Keys are tenant-scoped: the `default`
     /// tenant owns bare names, every other tenant's schemas live under
@@ -328,20 +283,14 @@ pub struct ServiceState {
     pub(crate) repl_hub: Option<Arc<ReplHub>>,
     /// Follower progress (`Some` iff [`ServiceConfig::follow`] was set).
     pub(crate) follower: Option<Arc<FollowerStatus>>,
-    /// Replication streams currently being served to followers.
-    pub(crate) repl_streams_active: AtomicU64,
     /// Live replication threads (the follower apply loop, leader stream
     /// writers), joined on shutdown.
     pub(crate) repl_threads: Mutex<Vec<JoinHandle<()>>>,
     /// Hot-key tracker feeding the warmup journal (only with a store).
     warmup: Option<WarmupTracker>,
-    warmup_top_k: usize,
     batch_threads: usize,
-    /// Live connections across all reactors (the `queue_depth` metrics
-    /// gauge keeps its wire name).
-    live_conns: AtomicU64,
-    requests_total: AtomicU64,
-    rejected_total: AtomicU64,
+    /// This server's counts, reported by `/metrics`.
+    pub(crate) counters: ServiceCounters,
     shutdown: AtomicBool,
     /// One eventfd per running reactor (their count is the `workers`
     /// metrics gauge); `request_shutdown` fires them all so a reactor
@@ -350,30 +299,25 @@ pub struct ServiceState {
     bound_addr: OnceLock<SocketAddr>,
     /// Index policy (see [`ServiceConfig::index_mode`]).
     index_mode: IndexMode,
-    index_build_delay_ms: u64,
     /// Sidecar directory; `Some` iff the server is durable.
     pub(crate) data_dir: Option<PathBuf>,
-    index_builds_completed: AtomicU64,
-    index_builds_in_flight: AtomicU64,
-    index_sidecar_loads: AtomicU64,
-    completes_indexed: AtomicU64,
-    completes_unindexed: AtomicU64,
     /// Live background index-build threads, joined on shutdown so a
     /// build's sidecar write never races the final snapshot.
     index_builders: Mutex<Vec<JoinHandle<()>>>,
+    /// Holds background index builds while a test acts inside the build
+    /// window.
+    #[cfg(test)]
+    index_gate: tests::BuildGate,
     /// The flight recorder of completed request traces (see
     /// `GET /v1/debug/requests`).
     pub flight: FlightRecorder,
     slow_ms: u64,
     access_log: bool,
-    max_data_entries: usize,
-    query_deadline_ms: u64,
-    debug_panic_route: bool,
 }
 
 impl ServiceState {
     fn new(config: &ServiceConfig, store: Option<Store>) -> ServiceState {
-        let track_warmup = store.is_some() && config.warmup_top_k > 0;
+        let track_warmup = store.is_some();
         // Only a durable non-follower can lead: the stream protocol
         // resumes from the on-disk WAL, and a follower republishing the
         // leader's records would invert the topology.
@@ -392,54 +336,34 @@ impl ServiceState {
                 .follow
                 .clone()
                 .map(|leader| Arc::new(FollowerStatus::new(leader))),
-            repl_streams_active: AtomicU64::new(0),
             repl_threads: Mutex::new(Vec::new()),
             warmup: track_warmup.then(WarmupTracker::new),
-            warmup_top_k: config.warmup_top_k,
             batch_threads: config.batch_threads.clamp(1, MAX_BATCH_THREADS as usize),
-            live_conns: AtomicU64::new(0),
-            requests_total: AtomicU64::new(0),
-            rejected_total: AtomicU64::new(0),
+            counters: ServiceCounters {
+                index: IndexCounters {
+                    mode: config.index_mode.as_str(),
+                    ..IndexCounters::default()
+                },
+                ..ServiceCounters::default()
+            },
             shutdown: AtomicBool::new(false),
             wakers: Mutex::new(Vec::new()),
             bound_addr: OnceLock::new(),
             index_mode: config.index_mode,
-            index_build_delay_ms: config.index_build_delay_ms,
             data_dir: config.data_dir.clone(),
-            index_builds_completed: AtomicU64::new(0),
-            index_builds_in_flight: AtomicU64::new(0),
-            index_sidecar_loads: AtomicU64::new(0),
-            completes_indexed: AtomicU64::new(0),
-            completes_unindexed: AtomicU64::new(0),
             index_builders: Mutex::new(Vec::new()),
+            #[cfg(test)]
+            index_gate: tests::BuildGate::default(),
             flight: FlightRecorder::new(FlightConfig {
                 capacity: config.flight_capacity,
                 shards: 8,
-                keep_slowest: config.flight_keep_slowest,
-                keep_errors: config.flight_keep_errors,
+                keep_slowest: (config.flight_capacity / 16).max(1),
+                keep_errors: (config.flight_capacity / 8).max(1),
                 sample_n: config.trace_sample_n,
             }),
             slow_ms: config.slow_ms,
             access_log: config.access_log,
-            max_data_entries: config.max_data_entries,
-            query_deadline_ms: config.query_deadline_ms,
-            debug_panic_route: config.debug_panic_route,
         }
-    }
-
-    /// One connection accepted by a reactor (the `queue_depth` gauge).
-    pub(crate) fn conn_opened(&self) {
-        self.live_conns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One connection closed by a reactor.
-    pub(crate) fn conn_closed(&self) {
-        self.live_conns.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// One connection answered `503` at the reactor's live cap.
-    pub(crate) fn count_rejected(&self) {
-        self.rejected_total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Whether this server persists its registry.
@@ -453,8 +377,8 @@ impl ServiceState {
         let (Some(store), Some(warmup)) = (&self.store, &self.warmup) else {
             return;
         };
-        let entries = warmup.top_k(self.warmup_top_k);
-        let path = lock_recover(store, "store").warmup_path();
+        let entries = warmup.top_k(WARMUP_TOP_K);
+        let path = lock_recover(store).warmup_path();
         if write_warmup(&path, &entries).is_err() {
             ipe_obs::counter!("store.warmup.write_failed", 1);
         }
@@ -489,7 +413,7 @@ impl ServiceState {
         json: &str,
     ) -> std::io::Result<Arc<crate::SchemaEntry>> {
         let key = scoped_name(tenant, name);
-        let store_guard = self.store.as_ref().map(|m| lock_recover(m, "store"));
+        let store_guard = self.store.as_ref().map(lock_recover);
         let entry = self.registry.insert(&key, schema);
         if let Some(mut store) = store_guard {
             match store.append_put(tenant, name, entry.id, entry.generation, json) {
@@ -594,16 +518,6 @@ impl ServiceState {
         }
     }
 
-    /// Accounts one engine-backed completion (a cache miss) as indexed or
-    /// not, for `/metrics`.
-    fn count_complete(&self, indexed: bool) {
-        if indexed {
-            self.completes_indexed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.completes_unindexed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Whether shutdown has been requested.
     pub fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
@@ -618,7 +532,7 @@ impl ServiceState {
         if let Some(hub) = &self.repl_hub {
             hub.close();
         }
-        for wake in lock_recover(&self.wakers, "wakers").iter() {
+        for wake in lock_recover(&self.wakers).iter() {
             wake.wake();
         }
     }
@@ -632,29 +546,29 @@ pub(crate) fn spawn_index_build(state: &Arc<ServiceState>, entry: Arc<crate::Sch
     if state.index_mode == IndexMode::Off {
         return;
     }
-    state.index_builds_in_flight.fetch_add(1, Ordering::SeqCst);
+    let counters = &state.counters.index;
+    counters.builds_in_flight.incr();
     let st = Arc::clone(state);
     let spawn = std::thread::Builder::new()
         .name(format!("ipe-index-{}", entry.id))
         .spawn(move || {
-            if st.index_build_delay_ms > 0 {
-                std::thread::sleep(Duration::from_millis(st.index_build_delay_ms));
-            }
+            #[cfg(test)]
+            st.index_gate.pass();
             let index = {
                 let _t = ipe_obs::timer!("service.index.build");
                 Arc::new(IndexedSchema::build(&entry.schema, st.index_mode))
             };
             if entry.set_index(Arc::clone(&index)) {
-                st.index_builds_completed.fetch_add(1, Ordering::SeqCst);
+                st.counters.index.builds_completed.incr();
                 persist_index_sidecar(&st, &entry, &index);
             }
-            st.index_builds_in_flight.fetch_sub(1, Ordering::SeqCst);
+            st.counters.index.builds_in_flight.decr();
         });
     match spawn {
         Ok(handle) => push_reaped(&state.index_builders, "index builders", handle),
         Err(e) => {
             // Degrade to unindexed serving rather than failing the PUT.
-            state.index_builds_in_flight.fetch_sub(1, Ordering::SeqCst);
+            counters.builds_in_flight.decr();
             ipe_obs::counter!("service.index.spawn_failed", 1);
             eprintln!("ipe-service: failed to spawn index build: {e}");
         }
@@ -777,7 +691,7 @@ impl Server {
                     });
                     let installed = loaded.map(|index| entry.set_index(index)).unwrap_or(false);
                     if installed {
-                        state.index_sidecar_loads.fetch_add(1, Ordering::SeqCst);
+                        state.counters.index.sidecar_loads.incr();
                     } else {
                         spawn_index_build(&state, entry);
                     }
@@ -799,10 +713,10 @@ impl Server {
             if state.warmup.is_some() {
                 let path = {
                     let store = state.store.as_ref().expect("recovery implies a store");
-                    lock_recover(store, "store").warmup_path()
+                    lock_recover(store).warmup_path()
                 };
                 let entries = read_warmup(&path);
-                let warmed = warm_cache(&state, &entries, config.warmup_top_k);
+                let warmed = warm_cache(&state, &entries);
                 ipe_obs::counter!("store.warmup.replayed", warmed);
             }
         }
@@ -828,14 +742,14 @@ impl Server {
             let thread_wake = Arc::clone(&wake);
             // Registered before the spawn so a shutdown racing startup
             // can never miss a live reactor's wake.
-            lock_recover(&state.wakers, "wakers").push(wake);
+            lock_recover(&state.wakers).push(wake);
             match std::thread::Builder::new()
                 .name(format!("ipe-reactor-{i}"))
                 .spawn(move || reactor_loop(listener, thread_wake, st, reactor_cfg))
             {
                 Ok(handle) => reactor_handles.push(handle),
                 Err(e) => {
-                    lock_recover(&state.wakers, "wakers").pop();
+                    lock_recover(&state.wakers).pop();
                     ipe_obs::counter!("service.worker.spawn_failed", 1);
                     eprintln!("ipe-service: failed to spawn reactor {i}: {e}");
                     last_spawn_err = Some(e);
@@ -916,16 +830,14 @@ impl Server {
         // hub) within a heartbeat interval; joining them before the final
         // snapshot keeps stream reads and follower applies off it.
         let repl: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *lock_recover(&self.state.repl_threads, "repl threads"));
+            std::mem::take(&mut *lock_recover(&self.state.repl_threads));
         for h in repl {
             let _ = h.join();
         }
         // Let in-flight index builds finish so their sidecar writes land
         // before the shutdown snapshot.
-        let builders: Vec<JoinHandle<()>> = std::mem::take(&mut *lock_recover(
-            &self.state.index_builders,
-            "index builders",
-        ));
+        let builders: Vec<JoinHandle<()>> =
+            std::mem::take(&mut *lock_recover(&self.state.index_builders));
         for h in builders {
             let _ = h.join();
         }
@@ -933,23 +845,23 @@ impl Server {
         // snapshot instead of the whole WAL, and persist the hot keys.
         self.state.flush_warmup();
         if let Some(store) = &self.state.store {
-            if let Err(e) = lock_recover(store, "store").snapshot_now() {
+            if let Err(e) = lock_recover(store).snapshot_now() {
                 eprintln!("ipe-service: shutdown snapshot failed: {e}");
             }
         }
     }
 }
 
-/// Replays up to `top_k` warmup journal entries against the engine,
+/// Replays up to [`WARMUP_TOP_K`] warmup journal entries against the engine,
 /// inserting the results under the default-config cache key (the key
 /// steady-state interactive traffic hits). Entries for unknown schemas or
 /// unparsable queries are skipped; each query gets a short deadline so a
 /// pathological journal cannot stall startup. Returns how many entries
 /// were warmed.
-fn warm_cache(state: &Arc<ServiceState>, entries: &[WarmupEntry], top_k: usize) -> u64 {
+fn warm_cache(state: &Arc<ServiceState>, entries: &[WarmupEntry]) -> u64 {
     // Group by schema so each registry entry is resolved once.
     let mut by_schema: BTreeMap<&str, Vec<&WarmupEntry>> = BTreeMap::new();
-    for entry in entries.iter().take(top_k) {
+    for entry in entries.iter().take(WARMUP_TOP_K) {
         by_schema.entry(&entry.schema).or_default().push(entry);
     }
     let cfg = CompletionConfig::default();
@@ -999,7 +911,108 @@ fn warm_cache(state: &Arc<ServiceState>, entries: &[WarmupEntry], top_k: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::Client;
+    use ipe_schema::fixtures;
+    use serde::Value;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Condvar;
     use std::time::Instant;
+
+    /// Holds background index builds until released, so a test can act
+    /// inside the build window without racing a timer. Open by default:
+    /// every other server a test starts builds unhindered.
+    #[derive(Default)]
+    pub(super) struct BuildGate {
+        held: Mutex<bool>,
+        released: Condvar,
+    }
+
+    impl BuildGate {
+        fn hold(&self) {
+            *lock_recover(&self.held) = true;
+        }
+
+        fn release(&self) {
+            *lock_recover(&self.held) = false;
+            self.released.notify_all();
+        }
+
+        /// Blocks the calling index build while the gate is held.
+        pub(super) fn pass(&self) {
+            let mut held = lock_recover(&self.held);
+            while *held {
+                held = self.released.wait(held).unwrap_or_else(recovered);
+            }
+        }
+    }
+
+    /// `POST /v1/debug/panic`, routed only in test builds: panics while
+    /// holding the store, warmup, and builder locks — the failure mode
+    /// that once cascaded through `.expect("store poisoned")` and killed
+    /// every later request.
+    pub(super) fn handle_debug_panic(state: &ServiceState) -> dispatch::Handled {
+        let _store = state.store.as_ref().map(lock_recover);
+        let _warmup = state.warmup.as_ref().map(|w| w.inner.lock());
+        let _builders = lock_recover(&state.index_builders);
+        panic!("injected panic (POST /v1/debug/panic)");
+    }
+
+    fn test_config() -> ServiceConfig {
+        ServiceConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            reactors: 2,
+            queue_depth: 16,
+            request_timeout: Duration::from_secs(5),
+            ..ServiceConfig::default()
+        }
+    }
+
+    fn start(config: ServiceConfig) -> (Server, Client) {
+        let server = Server::start(config).expect("bind ephemeral port");
+        let client = Client::new(server.addr().to_string());
+        (server, client)
+    }
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        static N: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "ipe-service-unit-{}-{tag}-{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn get(v: &Value, key: &str) -> Value {
+        v.get(key)
+            .unwrap_or_else(|| panic!("missing key {key}"))
+            .clone()
+    }
+
+    fn as_u64(v: &Value) -> u64 {
+        match v {
+            Value::I64(i) => *i as u64,
+            Value::U64(u) => *u,
+            other => panic!("expected number, got {other:?}"),
+        }
+    }
+
+    fn completion_count(body: &str) -> usize {
+        let v = serde_json::parse_value_text(body).expect("valid JSON");
+        match get(&v, "completions") {
+            Value::Seq(items) => items.len(),
+            other => panic!("expected completions array, got {other:?}"),
+        }
+    }
+
+    /// The `service.index` section of `/metrics`.
+    fn index_metrics(client: &mut Client) -> Value {
+        let (status, body) = client.request("GET", "/metrics", "").unwrap();
+        assert_eq!(status, 200, "{body}");
+        let v = serde_json::parse_value_text(&body).unwrap();
+        get(&get(&v, "service"), "index")
+    }
 
     fn counts(tracker: &WarmupTracker) -> Vec<(String, String, u64)> {
         let mut rows: Vec<_> = (tracker.top_k(usize::MAX).into_iter())
@@ -1068,7 +1081,7 @@ mod tests {
             let entry = state.register_schema("uni", schema.clone(), "{}").unwrap();
             spawn_index_build(&state, entry);
             let deadline = Instant::now() + Duration::from_secs(30);
-            while !lock_recover(&state.index_builders, "index builders")
+            while !lock_recover(&state.index_builders)
                 .iter()
                 .all(|h| h.is_finished())
             {
@@ -1076,8 +1089,156 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        let held = lock_recover(&state.index_builders, "index builders").len();
+        let held = lock_recover(&state.index_builders).len();
         assert!(held <= 1, "{held} finished build threads still held");
-        assert_eq!(state.index_builds_completed.load(Ordering::SeqCst), 50);
+        assert_eq!(state.counters.index.builds_completed.get(), 50);
+    }
+
+    /// A complete issued while the background build is held must succeed
+    /// — served unindexed — and once the build lands, fresh requests must
+    /// count as indexed in `/metrics`.
+    #[test]
+    fn completes_succeed_during_build_window_then_hit_the_index() {
+        let (server, mut client) = start(test_config());
+        server.state().index_gate.hold();
+        let uni = fixtures::university().to_json();
+        let (status, body) = client.request("PUT", "/v1/schemas/uni", &uni).unwrap();
+        assert_eq!(status, 200, "{body}");
+
+        // Inside the build window: the complete succeeds without the index.
+        let (status, body) = client
+            .request(
+                "POST",
+                "/v1/complete",
+                r#"{"schema": "uni", "query": "ta~name"}"#,
+            )
+            .unwrap();
+        assert_eq!(status, 200, "complete during index build failed: {body}");
+        assert_eq!(completion_count(&body), 2, "{body}");
+        let m = index_metrics(&mut client);
+        assert!(
+            as_u64(&get(&m, "completes_unindexed")) >= 1,
+            "the in-window complete should have been unindexed: {m:?}"
+        );
+        assert_eq!(as_u64(&get(&m, "builds_completed")), 0, "{m:?}");
+
+        // After the build: a fresh (uncached) query reports an index hit.
+        server.state().index_gate.release();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while as_u64(&get(&index_metrics(&mut client), "builds_completed")) == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the background build never landed"
+            );
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        let (status, body) = client
+            .request(
+                "POST",
+                "/v1/complete",
+                r#"{"schema": "uni", "query": "student~name"}"#,
+            )
+            .unwrap();
+        assert_eq!(status, 200, "{body}");
+        let m = index_metrics(&mut client);
+        assert!(
+            as_u64(&get(&m, "completes_indexed")) >= 1,
+            "post-build complete should report an index hit: {m:?}"
+        );
+        server.shutdown();
+    }
+
+    /// A handler panic — injected while the store, warmup, and builder
+    /// locks are held — answers that request `500` and leaves the server
+    /// fully serviceable: the poisoned locks are recovered on next use
+    /// instead of condemning every later request.
+    #[test]
+    fn injected_panic_does_not_take_down_the_server() {
+        let (server, mut client) = start(ServiceConfig {
+            reactors: 4,
+            batch_threads: 2,
+            ..test_config()
+        });
+        server
+            .state()
+            .registry
+            .insert("default", fixtures::university());
+        let (status, body) = client.request("POST", "/v1/debug/panic", "").unwrap();
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("panicked"), "{body}");
+
+        // Requests that take the same locks still succeed.
+        let (status, body) = client
+            .request("POST", "/v1/complete", r#"{"query": "ta~name"}"#)
+            .unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(completion_count(&body), 2);
+        let uni = fixtures::university().to_json();
+        let (status, body) = client.request("PUT", "/v1/schemas/after", &uni).unwrap();
+        assert_eq!(status, 200, "{body}");
+
+        // A second injected panic and another recovery, for good measure.
+        let (status, _) = client.request("POST", "/v1/debug/panic", "").unwrap();
+        assert_eq!(status, 500);
+        let (status, _) = client.request("GET", "/healthz", "").unwrap();
+        assert_eq!(status, 200);
+
+        #[cfg(not(feature = "obs-off"))]
+        {
+            let (status, body) = client.request("GET", "/metrics", "").unwrap();
+            assert_eq!(status, 200);
+            let v = serde_json::parse_value_text(&body).unwrap();
+            let counters = get(&v, "counters");
+            assert!(
+                as_u64(&get(&counters, "service.request.panicked")) >= 2,
+                "{body}"
+            );
+        }
+        server.shutdown();
+    }
+
+    /// A panic injected while the store mutex is held must not cost
+    /// durability: the lock is recovered (the WAL is append-consistent at
+    /// every panic point), writes keep landing on disk, and a restart
+    /// recovers everything written both before and after the panic.
+    #[test]
+    fn durable_writes_survive_an_injected_panic() {
+        let dir = tmp_dir("panic");
+        let durable = || ServiceConfig {
+            data_dir: Some(dir.clone()),
+            fsync: FsyncPolicy::Always,
+            ..test_config()
+        };
+        let uni = fixtures::university().to_json();
+        {
+            let (server, mut client) = start(durable());
+            let (status, body) = client.request("PUT", "/v1/schemas/before", &uni).unwrap();
+            assert_eq!(status, 200, "{body}");
+
+            // Poison the store/warmup/builder locks mid-flight.
+            let (status, body) = client.request("POST", "/v1/debug/panic", "").unwrap();
+            assert_eq!(status, 500, "{body}");
+
+            // Durable mutations still work after recovery.
+            let (status, body) = client.request("PUT", "/v1/schemas/after", &uni).unwrap();
+            assert_eq!(status, 200, "{body}");
+            client.request("POST", "/v1/shutdown", "").unwrap();
+            server.join();
+        }
+        {
+            let (server, mut client) = start(ServiceConfig {
+                snapshot_every: 4,
+                ..durable()
+            });
+            for name in ["before", "after"] {
+                let (status, body) = client
+                    .request("GET", &format!("/v1/schemas/{name}"), "")
+                    .unwrap();
+                assert_eq!(status, 200, "{name} lost across restart: {body}");
+            }
+            client.request("POST", "/v1/shutdown", "").unwrap();
+            server.join();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -26,6 +26,9 @@ use std::time::{Duration, Instant};
 const MAX_BATCH_ITEMS: usize = 256;
 /// Per-item deadline applied when a batch request does not set one.
 const DEFAULT_BATCH_DEADLINE_MS: u64 = 2_000;
+/// Wall-clock budget of a `POST /v1/query` when neither the request nor
+/// its tenant sets `deadline_ms`.
+const DEFAULT_QUERY_DEADLINE_MS: u64 = 2_000;
 /// Upper bound on a requested per-item deadline.
 const MAX_BATCH_DEADLINE_MS: u64 = 60_000;
 /// Upper bound on a requested batch thread count.
@@ -42,6 +45,25 @@ fn tenant_defaults(tcfg: &TenantConfig, e: &mut Option<u64>, pruning: &mut Optio
     if pruning.is_none() {
         pruning.clone_from(&tcfg.default_pruning);
     }
+}
+
+/// An engine for one cache miss over `entry`, with the schema's index
+/// attached once its background build has landed. Counts the miss in
+/// `service.index` as indexed or not, and returns whether it is.
+fn engine_for<'s>(
+    state: &ServiceState,
+    entry: &'s SchemaEntry,
+    cfg: CompletionConfig,
+) -> (Completer<'s>, bool) {
+    let mut engine = Completer::with_config(&entry.schema, cfg);
+    let indexed = entry.index().is_some_and(|ix| engine.attach_index(ix));
+    let counters = &state.counters.index;
+    if indexed {
+        counters.completes_indexed.incr();
+    } else {
+        counters.completes_unindexed.incr();
+    }
+    (engine, indexed)
 }
 
 /// Resolves the schema a search names, under generation-aware read
@@ -120,12 +142,7 @@ fn probe_or_search(
             query,
         });
     }
-    let mut engine = Completer::with_config(&entry.schema, cfg);
-    let indexed = entry
-        .index()
-        .map(|ix| engine.attach_index(ix))
-        .unwrap_or(false);
-    state.count_complete(indexed);
+    let (engine, indexed) = engine_for(state, entry, cfg);
     let mut search_span = obs.span.child("search");
     search_span.attr("indexed", indexed as u64);
     let limits = SearchLimits {
@@ -280,12 +297,7 @@ pub(super) fn handle_batch(
             cancel: None,
             span: fanout_span.handle(),
         };
-        let mut engine = Completer::with_config(&entry.schema, cfg);
-        let indexed = entry
-            .index()
-            .map(|ix| engine.attach_index(ix))
-            .unwrap_or(false);
-        state.count_complete(indexed);
+        let (engine, _) = engine_for(state, &entry, cfg);
         let out = complete_batch(&engine, &miss_asts, &opts);
         fanout_span.finish();
         for done in out {
@@ -387,7 +399,7 @@ pub(super) fn handle_query(
     let deadline_ms = parsed
         .deadline_ms
         .or(tcfg.deadline_ms)
-        .unwrap_or(state.query_deadline_ms)
+        .unwrap_or(DEFAULT_QUERY_DEADLINE_MS)
         .min(MAX_QUERY_DEADLINE_MS);
     let deadline = (deadline_ms > 0).then(|| started + Duration::from_millis(deadline_ms));
     // The completion phase shares the completion cache with

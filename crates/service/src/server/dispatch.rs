@@ -150,7 +150,7 @@ pub(crate) struct ReqObs {
 /// header.
 fn handle_request(state: &Arc<ServiceState>, req: &Request) -> (Reply, String) {
     let _t = ipe_obs::timer!("service.request");
-    state.requests_total.fetch_add(1, Ordering::Relaxed);
+    state.counters.requests_total.incr();
     let started = Instant::now();
     let trace_id = trace_id(req);
     let sampled = state.flight.should_sample();
@@ -301,14 +301,15 @@ fn dispatch(state: &Arc<ServiceState>, req: &Request, route: Route, obs: &mut Re
         Kind::Metrics => Ok(ops::handle_metrics(state, req)),
         Kind::DebugRequests => ops::handle_debug_requests(state),
         Kind::DebugRequest(id) => ops::handle_debug_request(state, id),
-        Kind::DebugPanic if state.debug_panic_route => ops::handle_debug_panic(state),
+        #[cfg(test)]
+        Kind::DebugPanic => super::tests::handle_debug_panic(state),
         Kind::Shutdown => {
             // Flag only; the serving reactor flushes this response, then
             // observes the flag and wakes its siblings to drain.
             state.shutdown.store(true, Ordering::SeqCst);
             Ok(Reply::json(200, "{\"ok\": true}".to_owned()))
         }
-        Kind::DebugPanic | Kind::Other => Err(Reply::error(404, "no such endpoint")),
+        Kind::Other => Err(Reply::error(404, "no such endpoint")),
     }
 }
 

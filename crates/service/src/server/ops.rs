@@ -1,16 +1,50 @@
 //! Operations routes: readiness, replication streaming and status,
 //! `/metrics` in both formats, the flight-recorder debug views, and the
-//! gauge sections they report.
+//! counters and gauge sections they report.
 
 use super::dispatch::{Handled, Reply};
-use super::{lock_recover, ServiceState};
+use super::ServiceState;
 use crate::api::error_body;
 use crate::cache::CacheStats;
 use crate::http::Request;
 use crate::repl::StreamStart;
-use ipe_obs::prom::Gauge;
+use crate::sync::{lock_recover, Counter};
+use ipe_obs::prom::Sample;
 use serde::{Serialize as _, Value};
-use std::sync::atomic::Ordering;
+
+/// A server's own counts. Each is written where its event happens and
+/// read only by serializing this struct, flattened into the `service`
+/// section of `GET /metrics`, so its field names are the wire names.
+#[derive(Default, serde::Serialize)]
+pub(crate) struct ServiceCounters {
+    /// Live connections across all reactors. The wire name dates from
+    /// the worker-pool front end these connections replaced.
+    pub(crate) queue_depth: Counter,
+    /// Requests handled.
+    pub(crate) requests_total: Counter,
+    /// Connections answered `503` at a reactor's live cap.
+    pub(crate) rejected_total: Counter,
+    /// The `service.index` section.
+    pub(crate) index: IndexCounters,
+    /// Replication streams being served to followers. Reported as
+    /// `repl.streams_active`, since only a leader serves streams.
+    #[serde(skip)]
+    pub(crate) repl_streams_active: Counter,
+}
+
+/// The `service.index` section of `GET /metrics`: the index policy, the
+/// background builds, and how engine-backed completions (cache misses)
+/// were served.
+#[derive(Default, serde::Serialize)]
+pub(crate) struct IndexCounters {
+    /// `"on"`, `"lazy"`, or `"off"`.
+    pub(crate) mode: &'static str,
+    pub(crate) builds_completed: Counter,
+    pub(crate) builds_in_flight: Counter,
+    pub(crate) sidecar_loads: Counter,
+    pub(crate) completes_indexed: Counter,
+    pub(crate) completes_unindexed: Counter,
+}
 
 /// One tenant's row in the `service.tenants` section of `GET /metrics`.
 #[derive(Debug, serde::Serialize)]
@@ -27,19 +61,17 @@ struct TenantMetricsRow {
 }
 
 /// The `service` section of `GET /metrics`.
-#[derive(Debug, serde::Serialize)]
-struct ServiceMetrics {
+#[derive(serde::Serialize)]
+struct ServiceMetrics<'a> {
     cache: CacheStats,
     tenants: Vec<TenantMetricsRow>,
-    queue_depth: u64,
-    requests_total: u64,
-    rejected_total: u64,
+    #[serde(flatten)]
+    counters: &'a ServiceCounters,
     workers: u64,
     schemas: u64,
     data_sets: u64,
     durable: bool,
     wal_last_seq: u64,
-    index: IndexMetrics,
     repl: ReplMetrics,
     /// Request traces retained in the flight recorder.
     flight_recorded: u64,
@@ -65,43 +97,22 @@ pub(super) struct ReplMetrics {
     snapshots_installed: u64,
 }
 
-/// The `service.index` section of `GET /metrics`.
-#[derive(Debug, serde::Serialize)]
-struct IndexMetrics {
-    mode: String,
-    builds_completed: u64,
-    builds_in_flight: u64,
-    sidecar_loads: u64,
-    completes_indexed: u64,
-    completes_unindexed: u64,
-}
-
 impl ServiceState {
-    /// Gauges for `/metrics`.
-    fn metrics_view(&self) -> ServiceMetrics {
+    /// The `service` section of `/metrics`.
+    fn metrics_view(&self) -> ServiceMetrics<'_> {
         ServiceMetrics {
             cache: self.caches.stats(),
             tenants: self.tenant_metrics(),
-            queue_depth: self.live_conns.load(Ordering::Relaxed),
-            requests_total: self.requests_total.load(Ordering::Relaxed),
-            rejected_total: self.rejected_total.load(Ordering::Relaxed),
-            workers: lock_recover(&self.wakers, "wakers").len() as u64,
+            counters: &self.counters,
+            workers: lock_recover(&self.wakers).len() as u64,
             schemas: self.registry.list().len() as u64,
             data_sets: self.data.len() as u64,
             durable: self.store.is_some(),
             wal_last_seq: self
                 .store
                 .as_ref()
-                .map(|s| lock_recover(s, "store").last_seq())
+                .map(|s| lock_recover(s).last_seq())
                 .unwrap_or(0),
-            index: IndexMetrics {
-                mode: self.index_mode.as_str().to_owned(),
-                builds_completed: self.index_builds_completed.load(Ordering::SeqCst),
-                builds_in_flight: self.index_builds_in_flight.load(Ordering::SeqCst),
-                sidecar_loads: self.index_sidecar_loads.load(Ordering::SeqCst),
-                completes_indexed: self.completes_indexed.load(Ordering::Relaxed),
-                completes_unindexed: self.completes_unindexed.load(Ordering::Relaxed),
-            },
             repl: self.repl_metrics(),
             flight_recorded: self.flight.recorded(),
         }
@@ -143,9 +154,9 @@ impl ServiceState {
                 lag_ms: f.lag_ms(),
                 connected: f.connected(),
                 ready: f.is_ready(),
-                reconnects: f.reconnects(),
-                records_applied: f.records_applied(),
-                snapshots_installed: f.snapshots_installed(),
+                reconnects: f.reconnects.get(),
+                records_applied: f.records_applied.get(),
+                snapshots_installed: f.snapshots_installed.get(),
                 ..ReplMetrics::default()
             },
             (None, Some(hub)) => ReplMetrics {
@@ -154,7 +165,7 @@ impl ServiceState {
                 applied_seq: hub.last_seq(),
                 connected: true,
                 ready: !self.shutting_down(),
-                streams_active: self.repl_streams_active.load(Ordering::SeqCst),
+                streams_active: self.counters.repl_streams_active.get(),
                 ..ReplMetrics::default()
             },
             (None, None) => ReplMetrics {
@@ -164,19 +175,6 @@ impl ServiceState {
             },
         }
     }
-}
-
-/// `POST /v1/debug/panic` (only with
-/// [`ServiceConfig::debug_panic_route`](super::ServiceConfig)): panics
-/// while holding the store, warmup, and builder locks — the exact failure
-/// mode that used to cascade through `.expect("store poisoned")` and kill
-/// every later request. The e2e poison-recovery test drives this route
-/// and then proves the server still serves durable writes.
-pub(super) fn handle_debug_panic(state: &ServiceState) -> Handled {
-    let _store = state.store.as_ref().map(|m| lock_recover(m, "store"));
-    let _warmup = state.warmup.as_ref().map(|w| w.inner.lock());
-    let _builders = lock_recover(&state.index_builders, "index builders");
-    panic!("injected panic (debug_panic_route)");
 }
 
 /// Request tracing is compiled out under `obs-off`: the debug views are
@@ -325,28 +323,28 @@ fn attach_service_gauges(report: &mut ipe_obs::Report, gauges: Result<String, se
 
 /// Builds the `/metrics?format=prometheus` body: every registered
 /// counter and log2-bucket timer as Prometheus `counter`/`histogram`
-/// families (with derived p50/p95/p99 quantile gauges), plus the JSON
-/// `service` section as gauges (see [`push_gauges`]). Each row of
+/// families (with derived p50/p95/p99 quantile gauges), plus every
+/// number and bool of the JSON `service` section, each named by its JSON
+/// path (`service.cache.bytes` renders as `ipe_service_cache_bytes`): a
+/// `counter` for a `*_total` field, a `gauge` otherwise. Each row of
 /// `service.tenants` becomes `tenant.*` families labelled `tenant="…"`.
 pub fn metrics_prometheus(state: &ServiceState) -> String {
     let view = state.metrics_view().to_value();
-    let mut gauges = Vec::new();
-    push_gauges(&mut gauges, "service", &view, None);
+    let mut samples = Vec::new();
+    push_samples(&mut samples, "service", &view, None);
     if let Some(Value::Seq(rows)) = view.get("tenants") {
         for row in rows {
             if let Some(Value::Str(tenant)) = row.get("tenant") {
-                push_gauges(&mut gauges, "tenant", row, Some(tenant));
+                push_samples(&mut samples, "tenant", row, Some(tenant));
             }
         }
     }
-    ipe_obs::prom::render(&gauges)
+    ipe_obs::prom::render(&samples)
 }
 
-/// Appends one gauge per number or bool under `value`, named by its
-/// dotted JSON path from `path` (`service.cache.bytes` renders as
-/// `ipe_service_cache_bytes`). Strings and arrays are skipped, and so
-/// are `*_total` fields, since Prometheus keeps that suffix for counters.
-fn push_gauges(out: &mut Vec<Gauge>, path: &str, value: &Value, tenant: Option<&str>) {
+/// Appends one sample per number or bool under `value`, named by its
+/// dotted JSON path from `path`. Strings and arrays are skipped.
+fn push_samples(out: &mut Vec<Sample>, path: &str, value: &Value, tenant: Option<&str>) {
     let number = match value {
         Value::Bool(b) => f64::from(u8::from(*b)),
         Value::I64(n) => *n as f64,
@@ -354,19 +352,22 @@ fn push_gauges(out: &mut Vec<Gauge>, path: &str, value: &Value, tenant: Option<&
         Value::F64(n) => *n,
         Value::Map(fields) => {
             for (key, field) in fields {
-                if !key.ends_with("_total") {
-                    push_gauges(out, &format!("{path}.{key}"), field, tenant);
-                }
+                push_samples(out, &format!("{path}.{key}"), field, tenant);
             }
             return;
         }
         Value::Null | Value::Str(_) | Value::Seq(_) => return,
     };
-    let help = format!("Gauge `{path}` of the /metrics JSON view.");
-    let gauge = Gauge::new(path, help, number);
+    let sample = if path.ends_with("_total") {
+        let help = format!("Counter `{path}` of the /metrics JSON view.");
+        Sample::counter(path, help, number)
+    } else {
+        let help = format!("Gauge `{path}` of the /metrics JSON view.");
+        Sample::gauge(path, help, number)
+    };
     out.push(match tenant {
-        Some(t) => gauge.label("tenant", t),
-        None => gauge,
+        Some(t) => sample.label("tenant", t),
+        None => sample,
     });
 }
 

@@ -2,17 +2,23 @@
 //! `/v1/data/:schema`, each under the request's tenant.
 
 use super::dispatch::{body_text, decode, Handled, Reply, ReqObs};
-use super::{lock_recover, spawn_index_build, ServiceState};
+use super::{spawn_index_build, ServiceState};
 use crate::api::{
     DataDeleteResponse, DataPutRequest, DataPutResponse, SchemaDeleteResponse, SchemaPutResponse,
 };
 use crate::http::Request;
 use crate::registry::SchemaInfo;
 use crate::route::Verb;
+use crate::sync::lock_recover;
 use ipe_schema::Schema;
 use ipe_store::{WalOp, WalRecord};
 use ipe_tenant::{scoped_name, split_scoped, Tenant};
 use std::sync::Arc;
+
+/// Cap on a `PUT /v1/data/:schema` load: explicit spec entries, or
+/// projected objects of a `gen` request. Beyond it the load is a `413`.
+/// A tenant's own `max_data_entries` can only tighten it.
+const MAX_DATA_ENTRIES: usize = 500_000;
 
 /// `GET /v1/schemas`: only this tenant's namespace, with the scope
 /// prefix stripped back off — names on the wire are tenant-local.
@@ -55,7 +61,7 @@ pub(super) fn handle_schema(
         }
         Verb::Put => put_schema(state, req, tenant, name),
         Verb::Delete => {
-            let store_guard = state.store.as_ref().map(|m| lock_recover(m, "store"));
+            let store_guard = state.store.as_ref().map(lock_recover);
             // Purged before acknowledging, so a deleted schema's cached
             // results are unreachable the moment the 200 lands.
             let (entry, purged, purged_data) = state.drop_schema(&key_name).ok_or_else(missing)?;
@@ -173,8 +179,8 @@ fn put_data(
     // The tenant's quota, when set, tightens (never loosens) the
     // service-wide load cap.
     let cap = match tenant.config().max_data_entries {
-        Some(limit) => (limit as usize).min(state.max_data_entries),
-        None => state.max_data_entries,
+        Some(limit) => (limit as usize).min(MAX_DATA_ENTRIES),
+        None => MAX_DATA_ENTRIES,
     };
     let explicit = parsed.objects.len() + parsed.links.len() + parsed.attrs.len();
     let (db, source) = if let Some(gen) = &parsed.gen {

@@ -4,9 +4,10 @@
 //! one.
 
 use super::dispatch::{body_text, Handled, Reply};
-use super::{lock_recover, ServiceState};
+use super::ServiceState;
 use crate::http::Request;
 use crate::route::Verb;
+use crate::sync::lock_recover;
 use ipe_store::{remove_sidecar, WalOp, WalRecord};
 use ipe_tenant::{split_scoped, Tenant, TenantConfig, TenantError};
 
@@ -141,7 +142,7 @@ fn delete_tenant(state: &ServiceState, name: &str) -> Handled {
     let mut purged_sidecars = 0u64;
     let mut append_err: Option<String> = None;
     {
-        let mut store_guard = state.store.as_ref().map(|m| lock_recover(m, "store"));
+        let mut store_guard = state.store.as_ref().map(lock_recover);
         for key in &owned {
             let Some(entry) = state.registry.remove(key) else {
                 continue;

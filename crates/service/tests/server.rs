@@ -333,7 +333,25 @@ fn per_server_metrics_count_only_their_own_traffic() {
     assert_eq!(status, 200);
     for name in DELETED_COUNTERS {
         let family = format!("ipe_{}_total", name.replace('.', "_"));
-        assert!(!text.contains(&family), "{family} in:\n{text}");
+        if name == "service.requests" {
+            // The family name now belongs to the per-server
+            // `service.requests_total` field: one counter family, with
+            // this server's count (its four requests and this scrape).
+            assert_eq!(
+                text.matches("# TYPE ipe_service_requests_total ").count(),
+                1
+            );
+            assert!(
+                text.contains("# TYPE ipe_service_requests_total counter\n"),
+                "{text}"
+            );
+            assert!(
+                text.lines().any(|l| l == "ipe_service_requests_total 5"),
+                "{text}"
+            );
+        } else {
+            assert!(!text.contains(&family), "{family} in:\n{text}");
+        }
     }
     a.shutdown();
     b.shutdown();
@@ -733,9 +751,8 @@ fn batch_trace_spans_cross_worker_threads() {
 #[cfg_attr(feature = "obs-off", ignore = "tracing is compiled out")]
 fn flight_recorder_retains_errors_and_slowest_across_wraparound() {
     let (server, mut client) = start_traced_server(|c| {
-        c.flight_capacity = 4;
-        c.flight_keep_slowest = 2;
-        c.flight_keep_errors = 2;
+        // Four traces per ring shard; the slowest pool keeps 32 / 16 = 2.
+        c.flight_capacity = 32;
         // No force-retained `slow` traces: the pool is the pure top K.
         c.slow_ms = 0;
     });
@@ -804,9 +821,10 @@ fn flight_recorder_retains_errors_and_slowest_across_wraparound() {
         .request("GET", &format!("/v1/debug/requests/{id}"), "")
         .unwrap();
     assert_eq!(status, 200, "slowest trace {id} evicted: {body}");
-    // Ordinary traffic was evicted: the recent ring holds at most one
-    // trace per shard (8 shards here) and the slowest reservoir two, so
-    // the vast majority of the 40 wrap requests must be gone.
+    // Ordinary traffic was evicted: the recent ring holds at most four
+    // traces per shard (8 shards here), half of them debug lookups, and
+    // the slowest reservoir two, so the vast majority of the 40 wrap
+    // requests must be gone.
     let mut evicted = 0;
     for i in 0..40 {
         let (status, _) = client
@@ -918,9 +936,14 @@ fn prometheus_exposition_lints_and_reports_cache_bytes() {
 }
 
 /// Flattens the numbers and bools under `v` into the Prometheus sample
-/// names they must appear under: the JSON path joined by `_`, `*_total`
-/// fields skipped (those names belong to the registry's counters).
-fn expected_gauges(name: &str, v: &Value, labels: &str, out: &mut Vec<(String, f64)>) {
+/// names they must appear under (the JSON path joined by `_`) and their
+/// family's type: `counter` for a `*_total` field, `gauge` otherwise.
+fn expected_gauges(
+    name: &str,
+    v: &Value,
+    labels: &str,
+    out: &mut Vec<(String, &'static str, f64)>,
+) {
     let value = match v {
         Value::Bool(b) => f64::from(u8::from(*b)),
         Value::I64(n) => *n as f64,
@@ -928,15 +951,18 @@ fn expected_gauges(name: &str, v: &Value, labels: &str, out: &mut Vec<(String, f
         Value::F64(n) => *n,
         Value::Map(fields) => {
             for (key, field) in fields {
-                if !key.ends_with("_total") {
-                    expected_gauges(&format!("{name}_{key}"), field, labels, out);
-                }
+                expected_gauges(&format!("{name}_{key}"), field, labels, out);
             }
             return;
         }
         _ => return,
     };
-    out.push((format!("{name}{labels}"), value));
+    let kind = if name.ends_with("_total") {
+        "counter"
+    } else {
+        "gauge"
+    };
+    out.push((format!("{name}{labels}"), kind, value));
 }
 
 /// Every number and bool of the JSON `service` section, per-tenant rows
@@ -979,7 +1005,12 @@ fn prometheus_gauges_mirror_json_service_section() {
         let labels = format!("{{tenant=\"{tenant}\"}}");
         expected_gauges("ipe_tenant", row, &labels, &mut expected);
     }
-    for (sample, value) in &expected {
+    for (sample, kind, value) in &mut expected {
+        if sample == "ipe_service_requests_total" {
+            // The Prometheus scrape came after the JSON one and counts
+            // itself.
+            *value += 1.0;
+        }
         let line = text
             .lines()
             .find(|l| {
@@ -989,8 +1020,12 @@ fn prometheus_gauges_mirror_json_service_section() {
             .unwrap_or_else(|| panic!("no `{sample}` sample in:\n{text}"));
         let got: f64 = line.rsplit(' ').next().unwrap().parse().unwrap();
         assert_eq!(got, *value, "{line} vs JSON {json}");
+        let family = sample.split('{').next().unwrap();
+        let type_line = format!("# TYPE {family} {kind}");
+        assert!(text.lines().any(|l| l == type_line), "{type_line}:\n{text}");
     }
     for sample in [
+        "ipe_service_rejected_total 0",
         "ipe_service_data_sets 0",
         "ipe_service_durable 0",
         "ipe_service_flight_recorded ",
@@ -1235,6 +1270,35 @@ fn percent_escapes_decode_in_routing_and_query_params() {
     server.shutdown();
 }
 
+/// Writes `request` on a keep-alive connection and returns the body of
+/// the `200` it answers, read to its `Content-Length`.
+fn request_on(stream: &mut std::net::TcpStream, request: &str) -> String {
+    use std::io::{Read, Write};
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        let n = stream.read(&mut chunk).expect("read response");
+        assert!(n > 0, "connection closed mid-response");
+        buf.extend_from_slice(&chunk[..n]);
+        let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
+            continue;
+        };
+        let head = String::from_utf8_lossy(&buf[..head_end]).to_ascii_lowercase();
+        assert!(head.starts_with("http/1.1 200"), "{head}");
+        let len: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("content-length:"))
+            .expect("content-length header")
+            .trim()
+            .parse()
+            .unwrap();
+        if buf.len() >= head_end + 4 + len {
+            return String::from_utf8(buf[head_end + 4..head_end + 4 + len].to_vec()).unwrap();
+        }
+    }
+}
+
 /// With one reactor capped at one live connection, a second concurrent
 /// connection is turned away with `503` (and the old worker-pool error
 /// body), and capacity frees up once the first connection closes.
@@ -1270,6 +1334,22 @@ fn backpressure_503_beyond_connection_cap() {
     assert_eq!(raw_status(&resp), 503, "{resp}");
     assert!(resp.contains("request queue is full"), "{resp}");
 
+    // The held connection still serves, and both metric formats count
+    // the one rejection and the one live connection.
+    let body = request_on(&mut held, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    let v = serde_json::parse_value_text(&body).expect("metrics JSON");
+    let service = get(&v, "service");
+    assert_eq!(as_u64(&get(&service, "rejected_total")), 1, "{body}");
+    assert_eq!(as_u64(&get(&service, "queue_depth")), 1, "{body}");
+    let text = request_on(
+        &mut held,
+        "GET /metrics?format=prometheus HTTP/1.1\r\nHost: t\r\n\r\n",
+    );
+    assert!(
+        text.lines().any(|l| l == "ipe_service_rejected_total 1"),
+        "{text}"
+    );
+
     // Releasing the held connection frees the slot.
     drop(held);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -1287,49 +1367,8 @@ fn backpressure_503_beyond_connection_cap() {
     server.shutdown();
 }
 
-/// A handler panic — injected while the store, warmup, and builder locks
-/// are held — answers that request `500` and leaves the server fully
-/// serviceable: the poisoned locks are recovered on next use instead of
-/// condemning every later request.
-#[test]
-fn injected_panic_does_not_take_down_the_server() {
-    let (server, mut client) = start_traced_server(|c| c.debug_panic_route = true);
-    let (status, body) = client.request("POST", "/v1/debug/panic", "").unwrap();
-    assert_eq!(status, 500, "{body}");
-    assert!(body.contains("panicked"), "{body}");
-
-    // Requests that take the same locks still succeed.
-    let (status, body) = client
-        .request("POST", "/v1/complete", r#"{"query": "ta~name"}"#)
-        .unwrap();
-    assert_eq!(status, 200, "{body}");
-    assert_eq!(completion_texts(&body).len(), 2);
-    let uni = fixtures::university().to_json();
-    let (status, body) = client.request("PUT", "/v1/schemas/after", &uni).unwrap();
-    assert_eq!(status, 200, "{body}");
-
-    // A second injected panic and another recovery, for good measure.
-    let (status, _) = client.request("POST", "/v1/debug/panic", "").unwrap();
-    assert_eq!(status, 500);
-    let (status, _) = client.request("GET", "/healthz", "").unwrap();
-    assert_eq!(status, 200);
-
-    #[cfg(not(feature = "obs-off"))]
-    {
-        let (status, body) = client.request("GET", "/metrics", "").unwrap();
-        assert_eq!(status, 200);
-        let v = serde_json::parse_value_text(&body).unwrap();
-        let counters = get(&v, "counters");
-        assert!(
-            as_u64(&get(&counters, "service.request.panicked")) >= 2,
-            "{body}"
-        );
-    }
-    server.shutdown();
-}
-
-/// The panic route is opt-in: without `debug_panic_route` it does not
-/// exist.
+/// The panic route exists only in the service crate's own test build;
+/// a server built for use has none.
 #[test]
 fn panic_route_is_absent_by_default() {
     let (server, mut client) = start_server();

@@ -183,7 +183,8 @@ from its last applied sequence number instead of re-bootstrapping.
 `serve` traces requests: --trace-sample N records a span tree for 1 in N
 requests (default 1 = every request, 0 = off); traces land in an
 in-memory flight recorder (--flight-capacity, default 256) browsable at
-GET /v1/debug/requests[/:trace_id]. Requests at or past --slow-ms
+GET /v1/debug/requests[/:trace_id], which also keeps the slowest
+capacity/16 and the last capacity/8 errored requests (at least 1 each). Requests at or past --slow-ms
 (default 500, 0 = off) are force-retained. --access-log prints one JSON
 line per request to stderr. GET /metrics?format=prometheus serves the
 metrics in Prometheus text format.
@@ -707,7 +708,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         flight_capacity: opts.flight_capacity,
         access_log: opts.access_log,
         follow: opts.follow.clone(),
-        ..Default::default()
     };
     let server =
         Server::start(config).map_err(|e| format!("cannot start on {}: {e}", opts.addr))?;
