@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run -p ipe-bench --release --bin baseline_compare [seed] [#seeds]`
 
-use ipe_bench::{experiment_setup, pct, DEFAULT_SEED};
+use ipe_bench::{experiment_setups, pct, DEFAULT_SEED};
 use ipe_core::baseline::HopBaseline;
 use ipe_core::{Completer, CompletionConfig};
 use ipe_metrics::recall_precision;
@@ -25,15 +25,14 @@ fn main() {
     let mut rows = Vec::new();
     let mut sums = [0.0f64; 6];
     let mut n = 0usize;
-    for s in 0..nseeds {
-        let (gen, workload) = experiment_setup(seed + s);
+    for (gen, workload) in &experiment_setups(seed, nseeds) {
         let engine = Completer::new(&gen.schema);
         let base_cfg = CompletionConfig {
             max_depth: 16,
             max_results: 50_000,
             ..Default::default()
         };
-        for q in &workload {
+        for q in workload {
             let root = gen.schema.class_named(&q.root).expect("workload class");
             let smart: Vec<String> = engine
                 .complete(&q.ast())

@@ -12,9 +12,6 @@
 //! overhead around sub-millisecond searches.
 //!
 //! Writes `BENCH_batch.json` (see `ipe_bench::write_run_report_with_stats`).
-//! `--smoke` runs a seconds-scale correctness pass instead: heavy items
-//! must report `DeadlineExceeded`, cheap items must complete, at every
-//! thread count.
 
 use ipe_bench::write_run_report_with_stats;
 use ipe_core::{complete_batch, BatchOptions, Completer, CompletionConfig};
@@ -203,7 +200,6 @@ fn trace_overhead(
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
     let trace_sample: u64 = match argv.iter().position(|a| a == "--trace-sample") {
         Some(i) => match argv.get(i + 1).and_then(|v| v.parse().ok()) {
             Some(n) => n,
@@ -227,25 +223,6 @@ fn main() -> ExitCode {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-
-    if smoke {
-        let items = workload(8, 2);
-        for threads in [1, 2] {
-            let run = run_once(&engine, &items, threads, Duration::from_millis(60));
-            if run.deadline_hits != 2 || run.ok != 6 || run.errors != 0 {
-                eprintln!(
-                    "smoke FAILED at {threads} thread(s): {} ok, {} deadline, {} errors (want 6/2/0)",
-                    run.ok, run.deadline_hits, run.errors
-                );
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "smoke ok at {threads} thread(s): 6 ok, 2 deadline-bound, {:.0}ms",
-                run.wall.as_secs_f64() * 1e3
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
 
     let items = workload(WORKLOAD, HEAVY);
     let deadline = Duration::from_millis(DEADLINE_MS);

@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run -p ipe-bench --release --bin fig5_recall [seed] [#seeds]`
 
-use ipe_bench::{experiment_setup, pct, DEFAULT_SEED};
+use ipe_bench::{experiment_setups, pct, DEFAULT_SEED};
 use ipe_metrics::{sweep, ExperimentConfig};
 
 fn main() {
@@ -21,12 +21,11 @@ fn main() {
     let e_values: Vec<usize> = (1..=5).collect();
     let mut std_sum = vec![0.0; e_values.len()];
     let mut dk_sum = vec![0.0; e_values.len()];
-    for s in 0..nseeds {
-        let (gen, workload) = experiment_setup(seed + s);
-        let standard = sweep(&gen, &workload, &ExperimentConfig::default());
+    for (gen, workload) in &experiment_setups(seed, nseeds) {
+        let standard = sweep(gen, workload, &ExperimentConfig::default());
         let dk = sweep(
-            &gen,
-            &workload,
+            gen,
+            workload,
             &ExperimentConfig {
                 exclude_hubs: true,
                 ..Default::default()

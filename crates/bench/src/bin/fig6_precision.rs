@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run -p ipe-bench --release --bin fig6_precision [seed] [#seeds]`
 
-use ipe_bench::{experiment_setup, pct, DEFAULT_SEED};
+use ipe_bench::{experiment_setups, pct, DEFAULT_SEED};
 use ipe_metrics::{sweep, ExperimentConfig};
 
 fn main() {
@@ -23,12 +23,11 @@ fn main() {
     let mut std_sum = vec![0.0; e_values.len()];
     let mut dk_sum = vec![0.0; e_values.len()];
     let mut ret_sum = vec![0.0; e_values.len()];
-    for s in 0..nseeds {
-        let (gen, workload) = experiment_setup(seed + s);
-        let standard = sweep(&gen, &workload, &ExperimentConfig::default());
+    for (gen, workload) in &experiment_setups(seed, nseeds) {
+        let standard = sweep(gen, workload, &ExperimentConfig::default());
         let dk = sweep(
-            &gen,
-            &workload,
+            gen,
+            workload,
             &ExperimentConfig {
                 exclude_hubs: true,
                 ..Default::default()

@@ -1,52 +1,30 @@
-//! Benchmark and correctness probes for WAL-shipping replication.
-//!
-//! Three modes:
-//!
-//! * default: a read scale-out benchmark — measure `/v1/complete`
-//!   throughput against a fleet of 0, 1, and 2 followers (clients
-//!   round-robin across every node) and write `BENCH_repl.json`. The
-//!   2-follower scaling floor (1.7x) is only asserted when the host has
-//!   at least 3 CPUs; single-core hosts record `sweep_mode:
-//!   cpu-constrained` instead of a meaningless ratio.
-//! * `--smoke`: a fast in-process probe for CI — one leader, one
-//!   follower; asserts convergence, generation-aware 409 routing, and
-//!   the 421 write redirect.
-//! * `--kill9-smoke`: the crash drill — spawn a leader and a durable
-//!   follower as child processes, SIGKILL the follower mid-stream, keep
-//!   writing, restart the follower on the same directory, and assert it
-//!   resumes from its persisted sequence number (no snapshot
-//!   re-bootstrap) and converges.
+//! Read scale-out benchmark for WAL-shipping replication: measure
+//! `/v1/complete` throughput against a fleet of 0, 1, and 2 followers
+//! (clients round-robin across every node) and write `BENCH_repl.json`.
+//! The 2-follower scaling floor (1.7x) is only asserted when the host has
+//! at least 3 CPUs; single-core hosts record `sweep_mode:
+//! cpu-constrained` instead of a meaningless ratio.
 //!
 //! ```text
-//! repl_bench [--requests N] [--smoke] [--kill9-smoke]
+//! repl_bench [--requests N]
 //! ```
-//!
-//! `--kill9-smoke` runs the sibling `ipe` binary from the same target
-//! directory (override with `IPE_BIN`).
 
 use ipe_bench::write_run_report_with_stats;
 use ipe_schema::fixtures;
 use ipe_service::{Client, FsyncPolicy, Server, ServiceConfig};
 use serde::Value;
-use std::io::BufRead;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitCode, Stdio};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 struct Args {
     requests: usize,
-    smoke: bool,
-    kill9: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        requests: 2000,
-        smoke: false,
-        kill9: false,
-    };
+    let mut args = Args { requests: 2000 };
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut it = raw.iter();
     while let Some(a) = it.next() {
@@ -58,8 +36,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--requests must be a number")?
             }
-            "--smoke" => args.smoke = true,
-            "--kill9-smoke" => args.kill9 = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -77,14 +53,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = if args.smoke {
-        smoke()
-    } else if args.kill9 {
-        kill9_smoke()
-    } else {
-        bench(args.requests)
-    };
-    match result {
+    match bench(args.requests) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -134,13 +103,6 @@ fn json_u64(v: &Value, key: &str) -> Result<u64, String> {
     match v.get(key) {
         Some(Value::U64(u)) => Ok(*u),
         Some(Value::I64(i)) if *i >= 0 => Ok(*i as u64),
-        other => Err(format!("bad `{key}` in response: {other:?}")),
-    }
-}
-
-fn json_bool(v: &Value, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(Value::Bool(b)) => Ok(*b),
         other => Err(format!("bad `{key}` in response: {other:?}")),
     }
 }
@@ -300,222 +262,4 @@ fn bench(requests: usize) -> Result<(), String> {
         &stat_refs,
     );
     Ok(())
-}
-
-/// Fast in-process CI probe: convergence, generation routing, write
-/// redirect.
-fn smoke() -> Result<(), String> {
-    let leader_dir = tmp_dir("smoke-leader");
-    let leader = start_leader(&leader_dir)?;
-    let leader_addr = leader.addr().to_string();
-    let mut lc = Client::new(leader_addr.clone());
-    let uni = fixtures::university().to_json();
-    for _ in 0..3 {
-        let (status, body) = lc
-            .request("PUT", "/v1/schemas/bench", &uni)
-            .map_err(|e| e.to_string())?;
-        if status != 200 {
-            return Err(format!("PUT: {status}: {body}"));
-        }
-    }
-
-    let follower = start_follower(&leader_addr)?;
-    let f_addr = follower.addr().to_string();
-    await_ready(&f_addr)?;
-    await_applied(&f_addr, 3)?;
-    let mut fc = Client::new(f_addr.clone());
-
-    // The replicated generation serves; one past it defers (final, since
-    // the node is caught up); the write redirects.
-    let (status, body) = fc
-        .request(
-            "POST",
-            "/v1/complete",
-            "{\"schema\":\"bench\",\"query\":\"ta~name\",\"min_generation\":3}",
-        )
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err(format!("caught-up read refused: {status}: {body}"));
-    }
-    let (status, body) = fc
-        .request(
-            "POST",
-            "/v1/complete",
-            "{\"schema\":\"bench\",\"query\":\"ta~name\",\"min_generation\":4}",
-        )
-        .map_err(|e| e.to_string())?;
-    if status != 409 {
-        return Err(format!("future generation served: {status}: {body}"));
-    }
-    let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-    if json_bool(&v, "retryable")? {
-        return Err(format!("caught-up refusal must be final: {body}"));
-    }
-    let resp = fc
-        .request_with("PUT", "/v1/schemas/bench", &uni, &[])
-        .map_err(|e| e.to_string())?;
-    if resp.status != 421 || resp.header("x-ipe-leader") != Some(leader_addr.as_str()) {
-        return Err(format!(
-            "write not misdirected: {} {:?}",
-            resp.status,
-            resp.header("x-ipe-leader")
-        ));
-    }
-
-    follower.shutdown();
-    leader.shutdown();
-    std::fs::remove_dir_all(&leader_dir).ok();
-    println!("repl smoke OK: convergence, generation routing, write redirect");
-    Ok(())
-}
-
-/// Locates the `ipe` binary: `$IPE_BIN`, else a sibling of this binary.
-fn ipe_binary() -> Result<PathBuf, String> {
-    if let Ok(path) = std::env::var("IPE_BIN") {
-        return Ok(PathBuf::from(path));
-    }
-    let me = std::env::current_exe().map_err(|e| e.to_string())?;
-    let sibling = me
-        .parent()
-        .ok_or("cannot locate target directory")?
-        .join("ipe");
-    if sibling.exists() {
-        Ok(sibling)
-    } else {
-        Err(format!(
-            "{} not found; build the `ipe` binary first or set IPE_BIN",
-            sibling.display()
-        ))
-    }
-}
-
-/// Spawns `ipe serve` with `extra` flags on an ephemeral port and scrapes
-/// the bound address from its stdout.
-fn spawn_server(ipe: &Path, extra: &[&str]) -> Result<(Child, String), String> {
-    let mut child = Command::new(ipe)
-        .args(["serve", "--addr", "127.0.0.1:0"])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .map_err(|e| format!("cannot spawn {}: {e}", ipe.display()))?;
-    let stdout = child.stdout.take().ok_or("no child stdout")?;
-    let mut lines = std::io::BufReader::new(stdout).lines();
-    for line in &mut lines {
-        let line = line.map_err(|e| e.to_string())?;
-        if let Some(addr) = line.strip_prefix("ipe-service listening on http://") {
-            let addr = addr.trim().to_owned();
-            std::thread::spawn(move || for _ in lines {});
-            return Ok((child, addr));
-        }
-    }
-    let _ = child.kill();
-    Err("server exited before printing its address".to_owned())
-}
-
-fn kill9_smoke() -> Result<(), String> {
-    let ipe = ipe_binary()?;
-    let leader_dir = tmp_dir("kill9-leader");
-    let follower_dir = tmp_dir("kill9-follower");
-    let uni = fixtures::university().to_json();
-
-    // snapshot_every=0 keeps the leader's whole WAL: the restarted
-    // follower must be able to resume from its persisted seq without a
-    // snapshot bootstrap, and we assert exactly that.
-    let (mut leader, leader_addr) = spawn_server(
-        &ipe,
-        &[
-            "--fsync",
-            "never",
-            "--snapshot-every",
-            "0",
-            "--data-dir",
-            leader_dir.to_str().unwrap(),
-        ],
-    )?;
-    let mut lc = Client::new(leader_addr.clone());
-    let check = (|| -> Result<(), String> {
-        for _ in 0..4 {
-            let (status, body) = lc
-                .request("PUT", "/v1/schemas/k", &uni)
-                .map_err(|e| e.to_string())?;
-            if status != 200 {
-                return Err(format!("leader PUT: {status}: {body}"));
-            }
-        }
-        // CLI leaders also seed `default` at seq 1: 4 puts land at 2..=5.
-        let leader_seq = 5;
-
-        let follower_flags = [
-            "--follow",
-            leader_addr.as_str(),
-            "--fsync",
-            "always",
-            "--data-dir",
-            follower_dir.to_str().unwrap(),
-        ];
-        let (mut follower, f_addr) = spawn_server(&ipe, &follower_flags)?;
-        await_ready(&f_addr)?;
-        await_applied(&f_addr, leader_seq)?;
-        println!("follower caught up through seq {leader_seq}; SIGKILL");
-        follower.kill().map_err(|e| e.to_string())?;
-        follower.wait().map_err(|e| e.to_string())?;
-
-        // Writes the dead follower misses.
-        for _ in 0..3 {
-            let (status, _) = lc
-                .request("PUT", "/v1/schemas/k", &uni)
-                .map_err(|e| e.to_string())?;
-            if status != 200 {
-                return Err(format!("leader PUT after kill: {status}"));
-            }
-        }
-        let leader_seq = leader_seq + 3;
-
-        let (mut follower, f_addr) = spawn_server(&ipe, &follower_flags)?;
-        let inner = (|| -> Result<(), String> {
-            await_ready(&f_addr)?;
-            await_applied(&f_addr, leader_seq)?;
-            let mut fc = Client::new(f_addr.clone());
-            let (status, body) = fc
-                .request("GET", "/v1/repl/status", "")
-                .map_err(|e| e.to_string())?;
-            if status != 200 {
-                return Err(format!("repl status: {status}"));
-            }
-            let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-            if json_u64(&v, "snapshots_installed")? != 0 {
-                return Err(format!(
-                    "restart re-bootstrapped instead of resuming from its \
-                     persisted seq: {body}"
-                ));
-            }
-            let (status, body) = fc
-                .request("GET", "/v1/schemas/k", "")
-                .map_err(|e| e.to_string())?;
-            if status != 200 {
-                return Err(format!("replicated schema lost: {status}"));
-            }
-            let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-            let generation = json_u64(&v, "generation")?;
-            if generation != 7 {
-                return Err(format!("follower at generation {generation}, leader at 7"));
-            }
-            println!(
-                "kill9 OK: follower resumed from persisted seq and converged \
-                 to generation {generation}"
-            );
-            Ok(())
-        })();
-        let mut fc = Client::new(f_addr);
-        let _ = fc.request("POST", "/v1/shutdown", "");
-        let _ = follower.wait();
-        inner
-    })();
-    let _ = lc.request("POST", "/v1/shutdown", "");
-    let _ = leader.wait();
-    for d in [&leader_dir, &follower_dir] {
-        std::fs::remove_dir_all(d).ok();
-    }
-    check
 }

@@ -1,24 +1,14 @@
-//! Load generator for the `ipe-service` disambiguation server.
-//!
-//! Two modes:
-//!
-//! * `--smoke`: a correctness probe for CI — complete `ta~name` against
-//!   the server's `default` schema, assert the two Figure-2 answers,
-//!   assert the second, identical request is a cache hit, then hammer
-//!   the reactors with a 64-connection burst whose every answer is
-//!   checked (optionally `--shutdown` the server afterwards). Exits
-//!   non-zero on any mismatch.
-//! * default: a benchmark — spawn (or target) a server, upload the
-//!   CUPID-calibrated schema, replay the `ipe-gen` planted-intent
-//!   workload from `--concurrency` connections plus a c=64/c=256
-//!   high-fan-out sweep, measure cold-vs-warm `ta~name` latency, and
-//!   write `BENCH_service.json` (throughput, p50/p99 per concurrency,
-//!   hit rate, cache counters cross-checked against `/metrics`).
+//! Load generator for the `ipe-service` disambiguation server: spawn (or
+//! target) a server, upload the CUPID-calibrated schema, replay the
+//! `ipe-gen` planted-intent workload from `--concurrency` connections
+//! plus a c=64/c=256 high-fan-out sweep, measure cold-vs-warm `ta~name`
+//! latency, and write `BENCH_service.json` (throughput, p50/p99 per
+//! concurrency, hit rate, cache counters cross-checked against
+//! `/metrics`).
 //!
 //! ```text
 //! service_load [--addr HOST:PORT] [--requests N] [--concurrency C]
 //!              [--seed N] [--warm-reps N] [--trace-sample N]
-//!              [--smoke] [--shutdown]
 //! ```
 //!
 //! `--trace-sample N` sets the in-process server's head-sampling rate
@@ -44,8 +34,6 @@ struct Args {
     seed: u64,
     warm_reps: usize,
     trace_sample: u64,
-    smoke: bool,
-    shutdown: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -56,8 +44,6 @@ fn parse_args() -> Result<Args, String> {
         seed: DEFAULT_SEED,
         warm_reps: 200,
         trace_sample: 1,
-        smoke: false,
-        shutdown: false,
     };
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut it = raw.iter();
@@ -94,8 +80,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--trace-sample must be a number")?
             }
-            "--smoke" => args.smoke = true,
-            "--shutdown" => args.shutdown = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -115,12 +99,8 @@ fn as_u64(v: &Value) -> Result<u64, String> {
     }
 }
 
-/// One `POST /v1/complete`, returning (texts, cached, server duration ns).
-fn complete(
-    client: &mut Client,
-    schema: &str,
-    query: &str,
-) -> Result<(Vec<String>, bool, u64), String> {
+/// One `POST /v1/complete`, returning (cached, server duration ns).
+fn complete(client: &mut Client, schema: &str, query: &str) -> Result<(bool, u64), String> {
     let body = format!("{{\"schema\": \"{schema}\", \"query\": \"{query}\"}}");
     let (status, text) = client
         .request("POST", "/v1/complete", &body)
@@ -129,19 +109,9 @@ fn complete(
         return Err(format!("{query}: HTTP {status}: {text}"));
     }
     let v = serde_json::parse_value_text(&text).map_err(|e| format!("bad JSON: {e:?}"))?;
-    let Value::Seq(items) = get(&v, "completions")? else {
-        return Err("completions is not an array".to_owned());
-    };
-    let mut texts = Vec::with_capacity(items.len());
-    for item in items {
-        match get(item, "text")? {
-            Value::Str(s) => texts.push(s.clone()),
-            other => return Err(format!("text is not a string: {other:?}")),
-        }
-    }
     let cached = matches!(get(&v, "cached")?, Value::Bool(true));
     let duration = as_u64(get(&v, "duration_ns")?)?;
-    Ok((texts, cached, duration))
+    Ok((cached, duration))
 }
 
 /// Cache hit/miss/eviction counts scraped from `GET /metrics`.
@@ -159,90 +129,6 @@ fn fetch_cache_counters(client: &mut Client) -> Result<(u64, u64, u64), String> 
         as_u64(get(cache, "misses")?)?,
         as_u64(get(cache, "evictions")?)?,
     ))
-}
-
-const FIGURE2: [&str; 2] = [
-    "ta@>grad@>student@>person.name",
-    "ta@>instructor@>teacher@>employee@>person.name",
-];
-
-/// High-concurrency correctness burst: `conns` simultaneous keep-alive
-/// connections, each issuing `reps` completions, every answer checked.
-/// Exercises the reactor front end (accept sharding, per-connection
-/// state machines) well past the old thread-per-connection scale.
-fn burst(addr: &str, conns: usize, reps: usize) -> Result<(), String> {
-    let results: Vec<Result<(), String>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..conns {
-            let addr = addr.to_owned();
-            handles.push(scope.spawn(move || {
-                let mut client = Client::new(addr);
-                for _ in 0..reps {
-                    let (texts, _, _) = complete(&mut client, "default", "ta~name")?;
-                    if texts.len() != 2 || FIGURE2.iter().any(|e| !texts.iter().any(|t| t == e)) {
-                        return Err(format!("burst answer diverged: {texts:?}"));
-                    }
-                }
-                Ok(())
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("burst connection panicked"))
-            .collect()
-    });
-    let failures: Vec<String> = results.into_iter().filter_map(|r| r.err()).collect();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} of {conns} burst connections failed; first: {}",
-            failures.len(),
-            failures[0]
-        ))
-    }
-}
-
-/// The CI probe: Figure-2 answers, a cache hit on the repeat, then a
-/// high-concurrency burst.
-fn run_smoke(client: &mut Client, addr: &str) -> Result<(), String> {
-    let (texts, cached, cold_ns) = complete(client, "default", "ta~name")?;
-    for expected in FIGURE2 {
-        if !texts.iter().any(|t| t == expected) {
-            return Err(format!(
-                "missing Figure-2 completion {expected}; got {texts:?}"
-            ));
-        }
-    }
-    if texts.len() != 2 {
-        return Err(format!(
-            "expected exactly the 2 Figure-2 answers, got {texts:?}"
-        ));
-    }
-    if cached {
-        return Err("first request must not be cached".to_owned());
-    }
-    let (texts2, cached2, warm_ns) = complete(client, "default", "ta~name")?;
-    if !cached2 {
-        return Err("second identical request must be a cache hit".to_owned());
-    }
-    if texts2 != texts {
-        return Err("cached answer diverges from the computed one".to_owned());
-    }
-    let (hits, misses, _) = fetch_cache_counters(client)?;
-    if hits < 1 || misses < 1 {
-        return Err(format!(
-            "/metrics counters inconsistent: hits {hits}, misses {misses}"
-        ));
-    }
-    const BURST_CONNS: usize = 64;
-    const BURST_REPS: usize = 8;
-    burst(addr, BURST_CONNS, BURST_REPS)?;
-    println!(
-        "smoke OK: ta~name -> 2 Figure-2 completions, cold {cold_ns}ns, warm (cached) {warm_ns}ns; \
-         burst {BURST_CONNS}x{BURST_REPS} lossless"
-    );
-    Ok(())
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -283,7 +169,7 @@ fn replay(
                 for i in 0..per_thread {
                     let q = &workload[(t + i) % workload.len()];
                     let sent = Instant::now();
-                    let (_, cached, _server_ns) = complete(&mut client, "cupid", &q.expr)?;
+                    let (cached, _server_ns) = complete(&mut client, "cupid", &q.expr)?;
                     out.push((sent.elapsed().as_nanos() as u64, cached));
                 }
                 Ok(out)
@@ -351,7 +237,7 @@ fn trace_overhead_stage(reps: usize, sample_n: u64) -> Result<[(u64, u64); 3], S
     for _ in 0..ROUNDS {
         for (i, (_, client)) in servers.iter_mut().enumerate() {
             for _ in 0..per_round {
-                let (_, cached, ns) = complete(client, "default", "ta~name")?;
+                let (cached, ns) = complete(client, "default", "ta~name")?;
                 if !cached {
                     return Err("overhead repetition missed the cache".to_owned());
                 }
@@ -528,13 +414,13 @@ fn run_bench(client: &mut Client, addr: &str, args: &Args) -> Result<(), String>
 
     // 2. Cold-vs-warm on the flagship query (server-side compute time, so
     //    the comparison measures the engine + cache, not the socket).
-    let (_, cached, cold_ns) = complete(client, "default", "ta~name")?;
+    let (cached, cold_ns) = complete(client, "default", "ta~name")?;
     if cached {
         return Err("ta~name was already cached; run against a fresh server".to_owned());
     }
     let mut warm: Vec<u64> = Vec::with_capacity(args.warm_reps);
     for _ in 0..args.warm_reps {
-        let (_, cached, ns) = complete(client, "default", "ta~name")?;
+        let (cached, ns) = complete(client, "default", "ta~name")?;
         if !cached {
             return Err("warm ta~name repetition missed the cache".to_owned());
         }
@@ -739,17 +625,10 @@ fn main() -> ExitCode {
         }
     };
     let mut client = Client::new(addr.clone());
-    let result = if args.smoke {
-        run_smoke(&mut client, &addr)
-    } else {
-        run_bench(&mut client, &addr, &args)
-    };
-    // Shut the server down: always for the in-process one, on request for
-    // a remote one.
-    if args.shutdown || server.is_some() {
-        let _ = client.request("POST", "/v1/shutdown", "");
-    }
+    let result = run_bench(&mut client, &addr, &args);
+    // Shut the in-process server down; a remote one keeps running.
     if let Some(server) = server {
+        let _ = client.request("POST", "/v1/shutdown", "");
         server.join();
     }
     match result {

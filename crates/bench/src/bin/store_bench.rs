@@ -1,51 +1,26 @@
-//! Benchmark and crash-safety probes for the `ipe-store` durability
-//! layer.
-//!
-//! Three modes:
-//!
-//! * default: a benchmark — measure WAL append throughput under each
-//!   fsync policy (`always`, `interval:100`, `never`) and recovery time
-//!   as a function of WAL length, and write `BENCH_store.json`.
-//! * `--smoke`: a fast correctness probe for CI — append, compact,
-//!   tear the WAL tail, and assert recovery returns exactly the durable
-//!   prefix. Exits non-zero on any mismatch.
-//! * `--kill9-smoke`: the full crash drill — spawn `ipe serve
-//!   --data-dir --fsync always` as a child process, stream PUT traffic,
-//!   SIGKILL it mid-write, restart on the same directory, and assert
-//!   every acknowledged write survived, the deleted schema stayed dead,
-//!   and ids/generations continue strictly monotonically.
+//! Benchmark for the `ipe-store` durability layer: measure WAL append
+//! throughput under each fsync policy (`always`, `interval:100`,
+//! `never`) and recovery time as a function of WAL length, and write
+//! `BENCH_store.json`.
 //!
 //! ```text
-//! store_bench [--appends N] [--smoke] [--kill9-smoke]
+//! store_bench [--appends N]
 //! ```
-//!
-//! `--kill9-smoke` runs the sibling `ipe` binary from the same target
-//! directory (override with `IPE_BIN`).
 
 use ipe_bench::write_run_report_with_stats;
 use ipe_schema::fixtures;
-use ipe_service::Client;
 use ipe_store::{FsyncPolicy, Store, StoreConfig, DEFAULT_TENANT};
-use serde::Value;
-use std::io::BufRead;
 use std::path::PathBuf;
-use std::process::{Child, Command, ExitCode, Stdio};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 struct Args {
     appends: usize,
-    smoke: bool,
-    kill9: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        appends: 4000,
-        smoke: false,
-        kill9: false,
-    };
+    let mut args = Args { appends: 4000 };
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut it = raw.iter();
     while let Some(a) = it.next() {
@@ -57,8 +32,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--appends must be a number")?
             }
-            "--smoke" => args.smoke = true,
-            "--kill9-smoke" => args.kill9 = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -76,14 +49,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = if args.smoke {
-        smoke()
-    } else if args.kill9 {
-        kill9_smoke()
-    } else {
-        bench(args.appends)
-    };
-    match result {
+    match bench(args.appends) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -222,288 +188,4 @@ fn bench(appends: usize) -> Result<(), String> {
         &stat_refs,
     );
     Ok(())
-}
-
-/// Fast CI probe: append, auto-compact, tear the tail, recover.
-fn smoke() -> Result<(), String> {
-    let dir = tmp_dir("smoke");
-    let config = StoreConfig {
-        dir: dir.clone(),
-        fsync: FsyncPolicy::Always,
-        snapshot_every: 4,
-    };
-    let payload = fixtures::assembly().to_json();
-    {
-        let (mut store, recovery) = Store::open(&config).map_err(|e| e.to_string())?;
-        if recovery.last_seq != 0 {
-            return Err("fresh dir should recover empty".to_owned());
-        }
-        store
-            .append_put(DEFAULT_TENANT, "a", 1, 1, &payload)
-            .and_then(|_| store.append_put(DEFAULT_TENANT, "b", 2, 1, &payload))
-            .and_then(|_| store.append_put(DEFAULT_TENANT, "a", 1, 2, &payload))
-            .and_then(|_| store.append_delete(DEFAULT_TENANT, "b")) // 4th append: auto-snapshot
-            .map_err(|e| e.to_string())?;
-        store
-            .append_put(DEFAULT_TENANT, "c", 3, 1, &payload)
-            .map_err(|e| e.to_string())?;
-    }
-    // Tear the last record: cut 3 bytes off the WAL tail.
-    let wal = dir.join(ipe_store::WAL_FILE);
-    let len = std::fs::metadata(&wal).map_err(|e| e.to_string())?.len();
-    let file = std::fs::OpenOptions::new()
-        .write(true)
-        .open(&wal)
-        .map_err(|e| e.to_string())?;
-    file.set_len(len - 3).map_err(|e| e.to_string())?;
-    drop(file);
-
-    let (store, recovery) = Store::open(&config).map_err(|e| e.to_string())?;
-    let live: Vec<&str> = recovery.schemas.iter().map(|s| s.name.as_str()).collect();
-    if !recovery.truncated_tail {
-        return Err("torn tail was not detected".to_owned());
-    }
-    if !recovery.from_snapshot {
-        return Err("auto-compaction snapshot was not loaded".to_owned());
-    }
-    if live != ["a"] || recovery.schemas[0].generation != 2 {
-        return Err(format!("recovered wrong state: {live:?}"));
-    }
-    // The torn record (id 3) never happened; the deleted schema's id 2
-    // still counts so it can never be reissued.
-    if store.max_id() != 2 {
-        return Err(format!("max_id {} forgot the deleted id", store.max_id()));
-    }
-    drop(store);
-    std::fs::remove_dir_all(&dir).ok();
-    println!("store smoke OK: compaction, torn-tail truncation, durable prefix recovered");
-    Ok(())
-}
-
-/// Locates the `ipe` binary: `$IPE_BIN`, else a sibling of this binary.
-fn ipe_binary() -> Result<PathBuf, String> {
-    if let Ok(path) = std::env::var("IPE_BIN") {
-        return Ok(PathBuf::from(path));
-    }
-    let me = std::env::current_exe().map_err(|e| e.to_string())?;
-    let sibling = me
-        .parent()
-        .ok_or("cannot locate target directory")?
-        .join("ipe");
-    if sibling.exists() {
-        Ok(sibling)
-    } else {
-        Err(format!(
-            "{} not found; build the `ipe` binary first or set IPE_BIN",
-            sibling.display()
-        ))
-    }
-}
-
-/// Spawns `ipe serve --data-dir` on an ephemeral port and scrapes the
-/// bound address from its stdout.
-fn spawn_server(ipe: &PathBuf, dir: &PathBuf) -> Result<(Child, String), String> {
-    let mut child = Command::new(ipe)
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--fsync",
-            "always",
-            "--data-dir",
-        ])
-        .arg(dir)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .map_err(|e| format!("cannot spawn {}: {e}", ipe.display()))?;
-    let stdout = child.stdout.take().ok_or("no child stdout")?;
-    let mut lines = std::io::BufReader::new(stdout).lines();
-    for line in &mut lines {
-        let line = line.map_err(|e| e.to_string())?;
-        if let Some(addr) = line.strip_prefix("ipe-service listening on http://") {
-            // Drain the remaining banner lines in the background so the
-            // child never blocks on a full pipe.
-            let addr = addr.trim().to_owned();
-            std::thread::spawn(move || for _ in lines {});
-            return Ok((child, addr));
-        }
-    }
-    let _ = child.kill();
-    Err("server exited before printing its address".to_owned())
-}
-
-fn json_u64(v: &Value, key: &str) -> Result<u64, String> {
-    match v.get(key) {
-        Some(Value::U64(u)) => Ok(*u),
-        Some(Value::I64(i)) if *i >= 0 => Ok(*i as u64),
-        other => Err(format!("bad `{key}` in response: {other:?}")),
-    }
-}
-
-/// One acknowledged PUT: name, registry id, generation.
-type Ack = (String, u64, u64);
-
-fn kill9_smoke() -> Result<(), String> {
-    let ipe = ipe_binary()?;
-    let dir = tmp_dir("kill9");
-    let uni = fixtures::university().to_json();
-
-    let (mut child, addr) = spawn_server(&ipe, &dir)?;
-    let mut client = Client::new(addr.clone());
-
-    // A schema that is registered, then deleted, and must never come
-    // back.
-    let (status, _) = client
-        .request("PUT", "/v1/schemas/doomed", &uni)
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err(format!("PUT doomed: status {status}"));
-    }
-    let (status, _) = client
-        .request("DELETE", "/v1/schemas/doomed", "")
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err(format!("DELETE doomed: status {status}"));
-    }
-
-    // Stream PUTs (8 names, repeatedly hot-swapped) until the kill.
-    let acked: Arc<Mutex<Vec<Ack>>> = Arc::new(Mutex::new(Vec::new()));
-    let writer = {
-        let acked = Arc::clone(&acked);
-        let addr = addr.clone();
-        let uni = uni.clone();
-        std::thread::spawn(move || {
-            let mut client = Client::new(addr);
-            for i in 0u64.. {
-                let path = format!("/v1/schemas/k{}", i % 8);
-                match client.request("PUT", &path, &uni) {
-                    Ok((200, body)) => {
-                        let Ok(v) = serde_json::parse_value_text(&body) else {
-                            break;
-                        };
-                        let (Ok(id), Ok(generation)) =
-                            (json_u64(&v, "id"), json_u64(&v, "generation"))
-                        else {
-                            break;
-                        };
-                        acked
-                            .lock()
-                            .unwrap()
-                            .push((format!("k{}", i % 8), id, generation));
-                    }
-                    // The kill lands here: connection refused / reset, or
-                    // a 500 while the server is dying.
-                    _ => break,
-                }
-            }
-        })
-    };
-
-    // Let a healthy amount of traffic get acknowledged, then pull the
-    // plug (SIGKILL: no destructors, no flush beyond the per-record
-    // fsync).
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while acked.lock().unwrap().len() < 24 {
-        if Instant::now() > deadline {
-            let _ = child.kill();
-            return Err("writer made no progress".to_owned());
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    child.kill().map_err(|e| e.to_string())?;
-    child.wait().map_err(|e| e.to_string())?;
-    writer.join().map_err(|_| "writer thread panicked")?;
-    let acked = Arc::try_unwrap(acked)
-        .map_err(|_| "acked list still shared")?
-        .into_inner()
-        .unwrap();
-    println!(
-        "killed server with SIGKILL after {} acknowledged writes",
-        acked.len()
-    );
-
-    // Restart on the same directory; every acknowledged write must be
-    // there.
-    let (mut child, addr) = spawn_server(&ipe, &dir)?;
-    let mut client = Client::new(addr);
-    let check = (|| -> Result<(), String> {
-        let (status, _) = client
-            .request("GET", "/v1/schemas/doomed", "")
-            .map_err(|e| e.to_string())?;
-        if status != 404 {
-            return Err(format!("deleted schema resurrected (status {status})"));
-        }
-        // Fold the ack stream into the final acknowledged state per name.
-        let mut last: Vec<Ack> = Vec::new();
-        let mut max_acked_id = 0u64;
-        for (name, id, generation) in &acked {
-            max_acked_id = max_acked_id.max(*id);
-            match last.iter_mut().find(|(n, _, _)| n == name) {
-                Some(slot) => *slot = (name.clone(), *id, *generation),
-                None => last.push((name.clone(), *id, *generation)),
-            }
-        }
-        for (name, id, generation) in &last {
-            let (status, body) = client
-                .request("GET", &format!("/v1/schemas/{name}"), "")
-                .map_err(|e| e.to_string())?;
-            if status != 200 {
-                return Err(format!(
-                    "acknowledged schema `{name}` lost (status {status})"
-                ));
-            }
-            let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-            let (got_id, got_gen) = (json_u64(&v, "id")?, json_u64(&v, "generation")?);
-            if got_id != *id {
-                return Err(format!(
-                    "`{name}` id changed: acked {id}, recovered {got_id}"
-                ));
-            }
-            // In-flight writes past the last ack may also be durable,
-            // so recovered generation can exceed the acked one — never
-            // trail it.
-            if got_gen < *generation {
-                return Err(format!(
-                    "`{name}` lost generations: acked {generation}, recovered {got_gen}"
-                ));
-            }
-        }
-        // Post-restart mutations continue both sequences monotonically.
-        let (name, _, _) = &last[0];
-        let (_, before) = client
-            .request("GET", &format!("/v1/schemas/{name}"), "")
-            .map_err(|e| e.to_string())?;
-        let before = json_u64(
-            &serde_json::parse_value_text(&before).map_err(|e| e.to_string())?,
-            "generation",
-        )?;
-        let (status, body) = client
-            .request("PUT", &format!("/v1/schemas/{name}"), &uni)
-            .map_err(|e| e.to_string())?;
-        if status != 200 {
-            return Err(format!("post-restart PUT: status {status}"));
-        }
-        let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-        if json_u64(&v, "generation")? != before + 1 {
-            return Err("generation sequence did not continue".to_owned());
-        }
-        let (_, body) = client
-            .request("PUT", "/v1/schemas/fresh", &uni)
-            .map_err(|e| e.to_string())?;
-        let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-        if json_u64(&v, "id")? <= max_acked_id {
-            return Err("fresh schema id collides with a pre-crash id".to_owned());
-        }
-        println!(
-            "recovery OK: {} schemas survived at their acked ids/generations, \
-             delete held, sequences continued",
-            last.len()
-        );
-        Ok(())
-    })();
-    let _ = client.request("POST", "/v1/shutdown", "");
-    let _ = child.wait();
-    std::fs::remove_dir_all(&dir).ok();
-    check
 }

@@ -1,20 +1,13 @@
-//! Benchmark and correctness probes for multi-tenant isolation.
-//!
-//! Two modes:
-//!
-//! * default: the isolation benchmark — measure a quiet tenant's warm
-//!   completion p50 solo, then again while a noisy tenant is pinned at
-//!   its admission quota (collecting 429s the whole time), and write
-//!   `BENCH_tenant.json`. Gates: the noisy tenant must actually be
-//!   throttled, the quiet tenant must see zero 429s, and (when the host
-//!   has at least 2 CPUs) the quiet tenant's contended warm p50 must be
-//!   within 2x of its solo run.
-//! * `--smoke`: a fast in-process probe for CI — tenant CRUD, namespace
-//!   isolation, the unified 429 retry envelope, and the delete-purge
-//!   contract.
+//! Multi-tenant isolation benchmark: measure a quiet tenant's warm
+//! completion p50 solo, then again while a noisy tenant is pinned at its
+//! admission quota (collecting 429s the whole time), and write
+//! `BENCH_tenant.json`. Gates: the noisy tenant must actually be
+//! throttled, the quiet tenant must see zero 429s, and (when the host has
+//! at least 2 CPUs) the quiet tenant's contended warm p50 must be within
+//! 2x of its solo run.
 //!
 //! ```text
-//! tenant_bench [--requests N] [--smoke]
+//! tenant_bench [--requests N]
 //! ```
 
 use ipe_bench::write_run_report_with_stats;
@@ -28,14 +21,10 @@ use std::time::{Duration, Instant};
 
 struct Args {
     requests: usize,
-    smoke: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        requests: 600,
-        smoke: false,
-    };
+    let mut args = Args { requests: 600 };
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut it = raw.iter();
     while let Some(a) = it.next() {
@@ -47,7 +36,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--requests must be a number")?
             }
-            "--smoke" => args.smoke = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -65,12 +53,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = if args.smoke {
-        smoke()
-    } else {
-        bench(args.requests)
-    };
-    match result {
+    match bench(args.requests) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -101,13 +84,6 @@ fn json_u64(v: &Value, key: &str) -> Result<u64, String> {
 fn json_bool(v: &Value, key: &str) -> Result<bool, String> {
     match v.get(key) {
         Some(Value::Bool(b)) => Ok(*b),
-        other => Err(format!("bad `{key}` in response: {other:?}")),
-    }
-}
-
-fn json_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    match v.get(key) {
-        Some(Value::Str(s)) => Ok(s.as_str()),
         other => Err(format!("bad `{key}` in response: {other:?}")),
     }
 }
@@ -278,118 +254,5 @@ fn bench(requests: usize) -> Result<(), String> {
             ("noisy_throttled", noisy_throttled),
         ],
     );
-    Ok(())
-}
-
-/// Fast in-process CI probe: tenant CRUD, namespace isolation, the 429
-/// envelope, and the delete purge.
-fn smoke() -> Result<(), String> {
-    let server = start_server()?;
-    let addr = server.addr().to_string();
-    let mut c = Client::new(addr.clone());
-    let uni = fixtures::university().to_json();
-
-    // CRUD: create is 201, reconfigure is 200, bad names are 400, and
-    // `default` cannot be deleted.
-    put(&mut c, "/v1/tenants/acme", "{}", 201)?;
-    put(&mut c, "/v1/tenants/acme", "{\"cache_bytes\": 65536}", 200)?;
-    let (status, _) = c
-        .request("PUT", "/v1/tenants/Not%20Valid", "{}")
-        .map_err(|e| e.to_string())?;
-    if status != 400 {
-        return Err(format!("bad tenant name accepted: {status}"));
-    }
-    let (status, body) = c
-        .request("DELETE", "/v1/tenants/default", "")
-        .map_err(|e| e.to_string())?;
-    if status != 409 {
-        return Err(format!("default tenant deletable: {status}: {body}"));
-    }
-
-    // Namespace isolation: the same schema name in two tenants is two
-    // schemas; the legacy unprefixed route is the `default` tenant.
-    put(&mut c, "/v1/t/acme/schemas/s", &uni, 200)?;
-    put(&mut c, "/v1/schemas/s", &uni, 200)?;
-    let (status, body) = c
-        .request("GET", "/v1/t/acme/schemas/s", "")
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err(format!("tenant schema missing: {status}: {body}"));
-    }
-    let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-    if json_str(&v, "name")? != "s" {
-        return Err(format!("tenant-scoped GET leaked a scoped name: {body}"));
-    }
-    let (status, _) = c
-        .request("GET", "/v1/t/nobody/schemas/s", "")
-        .map_err(|e| e.to_string())?;
-    if status != 404 {
-        return Err(format!("unknown tenant served: {status}"));
-    }
-
-    // Admission: a nearly-zero refill rate admits `burst` requests and
-    // then answers 429 with the unified retry envelope.
-    put(
-        &mut c,
-        "/v1/tenants/throttled",
-        "{\"rate_per_sec\": 0.001, \"burst\": 2}",
-        201,
-    )?;
-    put(&mut c, "/v1/t/throttled/schemas/s", &uni, 200)?;
-    let complete_s = "{\"schema\":\"s\",\"query\":\"ta~name\"}";
-    let (status, _) = c
-        .request("POST", "/v1/t/throttled/complete", complete_s)
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err(format!("burst request refused: {status}"));
-    }
-    let resp = c
-        .request_with("POST", "/v1/t/throttled/complete", complete_s, &[])
-        .map_err(|e| e.to_string())?;
-    if resp.status != 429 {
-        return Err(format!(
-            "quota not enforced: {}: {}",
-            resp.status, resp.body
-        ));
-    }
-    let v = serde_json::parse_value_text(&resp.body).map_err(|e| e.to_string())?;
-    if !json_bool(&v, "retryable")?
-        || json_u64(&v, "retry_after_ms")? == 0
-        || json_str(&v, "tenant")? != "throttled"
-    {
-        return Err(format!("bad 429 envelope: {}", resp.body));
-    }
-    if resp.header("retry-after").is_none() {
-        return Err("429 missing Retry-After header".to_owned());
-    }
-
-    // Delete purges the namespace: schema count reported, cache partition
-    // dropped, and the tenant 404s afterwards — without touching the
-    // other tenants' same-named schemas.
-    let (status, body) = c
-        .request("DELETE", "/v1/tenants/acme", "")
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err(format!("tenant delete failed: {status}: {body}"));
-    }
-    let v = serde_json::parse_value_text(&body).map_err(|e| e.to_string())?;
-    if json_u64(&v, "purged_schemas")? != 1 {
-        return Err(format!("wrong purge count: {body}"));
-    }
-    let (status, _) = c
-        .request("GET", "/v1/t/acme/schemas/s", "")
-        .map_err(|e| e.to_string())?;
-    if status != 404 {
-        return Err(format!("deleted tenant still serves: {status}"));
-    }
-    let (status, _) = c
-        .request("GET", "/v1/schemas/s", "")
-        .map_err(|e| e.to_string())?;
-    if status != 200 {
-        return Err("tenant purge took the default tenant's schema with it".to_owned());
-    }
-
-    server.shutdown();
-    println!("tenant smoke OK: CRUD, namespaces, 429 envelope, delete purge");
     Ok(())
 }

@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment binaries and Criterion benches.
+//! Shared helpers for the experiment binaries.
 //!
 //! Each binary regenerates one table or figure of the paper — see
 //! EXPERIMENTS.md at the workspace root for the index and the recorded
@@ -15,16 +15,34 @@ pub const DEFAULT_SEED: u64 = 1994;
 
 /// Builds the CUPID-calibrated schema and the 10-query workload used by
 /// Figures 5–7 and the statistics table.
+///
+/// The workload generator runs the engine to pick each query's intended
+/// answers, so the metric registries are zeroed before returning: the
+/// `BENCH_<name>.json` reports count only what the binary measures.
 pub fn experiment_setup(seed: u64) -> (GeneratedSchema, Vec<QuerySpec>) {
-    let gen = cupid_like(seed);
-    let workload = generate_workload(
-        &gen,
-        &WorkloadConfig {
-            seed: seed.wrapping_add(1),
-            ..Default::default()
-        },
-    );
-    (gen, workload)
+    experiment_setups(seed, 1).pop().expect("one set-up")
+}
+
+/// [`experiment_setup`] for the `n` seeds from `first` on, all built before
+/// the registries are zeroed once. A binary that averages over seeds sets
+/// them all up here: setting up each seed inside its measuring loop would
+/// zero the counts of the seeds already measured.
+pub fn experiment_setups(first: u64, n: u64) -> Vec<(GeneratedSchema, Vec<QuerySpec>)> {
+    let setups = (first..first + n)
+        .map(|seed| {
+            let gen = cupid_like(seed);
+            let workload = generate_workload(
+                &gen,
+                &WorkloadConfig {
+                    seed: seed.wrapping_add(1),
+                    ..Default::default()
+                },
+            );
+            (gen, workload)
+        })
+        .collect();
+    ipe_obs::reset_metrics();
+    setups
 }
 
 /// Formats a fraction as a percentage with one decimal.
@@ -66,6 +84,11 @@ pub fn write_run_report_with_stats(name: &str, meta: &[(&str, &str)], stats: &[(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Held by every test that runs searches, so none moves the global
+    /// counters while another reads them.
+    static SEARCHES: Mutex<()> = Mutex::new(());
 
     #[test]
     fn pct_formats() {
@@ -76,6 +99,7 @@ mod tests {
 
     #[test]
     fn setup_is_deterministic_and_full() {
+        let _searches = SEARCHES.lock().unwrap_or_else(|e| e.into_inner());
         let (a_gen, a_wl) = experiment_setup(7);
         let (b_gen, b_wl) = experiment_setup(7);
         assert_eq!(a_gen.schema.to_json(), b_gen.schema.to_json());
@@ -84,5 +108,39 @@ mod tests {
             a_wl.iter().map(|q| &q.expr).collect::<Vec<_>>(),
             b_wl.iter().map(|q| &q.expr).collect::<Vec<_>>()
         );
+    }
+
+    fn search_calls() -> u64 {
+        ipe_obs::snapshot_counters()
+            .into_iter()
+            .find(|c| c.name == "core.search.calls")
+            .map_or(0, |c| c.value)
+    }
+
+    /// The set-up searches of the workload generator are not counted.
+    #[test]
+    #[cfg(not(feature = "obs-off"))]
+    fn setup_leaves_no_search_counts() {
+        let _searches = SEARCHES.lock().unwrap_or_else(|e| e.into_inner());
+        experiment_setup(1994);
+        assert_eq!(search_calls(), 0);
+    }
+
+    /// Searches on every seed of a multi-seed set-up are counted, and only
+    /// those.
+    #[test]
+    #[cfg(not(feature = "obs-off"))]
+    fn setups_leave_every_measured_search_counted() {
+        let _searches = SEARCHES.lock().unwrap_or_else(|e| e.into_inner());
+        let setups = experiment_setups(1994, 2);
+        assert_eq!(setups.len(), 2);
+        let mut measured = 0;
+        for (gen, workload) in &setups {
+            let engine = ipe_core::Completer::new(&gen.schema);
+            let outcome = engine.complete_with_stats(&workload[0].ast()).unwrap();
+            measured += outcome.stats.calls;
+        }
+        assert!(measured > 0);
+        assert_eq!(search_calls(), measured);
     }
 }

@@ -268,27 +268,30 @@ mod tests {
             },
         );
         let items = asts(&["c0.e0_1.name", "c0~name", "c0~e10_11~name"]);
-        let opts = BatchOptions {
-            threads: 2,
-            deadline: Some(Duration::from_millis(60)),
-            ..Default::default()
-        };
-        let started = Instant::now();
-        let out = complete_batch(&engine, &items, &opts);
-        assert!(out[0].result.is_ok(), "{:?}", out[0].result);
-        assert!(out[1].result.is_ok(), "{:?}", out[1].result);
-        assert!(
-            out[2].deadline_exceeded(),
-            "the dense multi-tilde item must trip its deadline: {:?}",
-            out[2].result
-        );
-        // The heavy item cost the batch roughly its deadline, not forever
-        // (the untimed search would run for days on this schema).
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "batch stalled: {:?}",
-            started.elapsed()
-        );
+        for threads in [1, 2] {
+            let opts = BatchOptions {
+                threads,
+                deadline: Some(Duration::from_millis(60)),
+                ..Default::default()
+            };
+            let started = Instant::now();
+            let out = complete_batch(&engine, &items, &opts);
+            assert!(out[0].result.is_ok(), "{:?}", out[0].result);
+            assert!(out[1].result.is_ok(), "{:?}", out[1].result);
+            assert!(
+                out[2].deadline_exceeded(),
+                "the dense multi-tilde item must trip its deadline: {:?}",
+                out[2].result
+            );
+            // The heavy item cost the batch roughly its deadline, not
+            // forever (the untimed search would run for days on this
+            // schema).
+            assert!(
+                started.elapsed() < Duration::from_secs(30),
+                "batch stalled at {threads} thread(s): {:?}",
+                started.elapsed()
+            );
+        }
     }
 
     /// A pre-set cancellation flag aborts every item as `Cancelled`.

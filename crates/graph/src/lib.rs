@@ -10,10 +10,9 @@
 //!   search state lives in flat vectors rather than hash maps;
 //! * cheap iteration over the out-edges of a node in insertion order (the
 //!   paper's `children[v]`, which the engine re-sorts by label quality);
-//! * classic graph algorithms needed by the schema layer and the test suite:
-//!   DFS/BFS traversal, Tarjan SCC, topological sort over a filtered edge
-//!   subset (used for `Isa`-hierarchy validation), and bounded simple-path
-//!   enumeration (used by the exhaustive completion oracle).
+//! * the two algorithms the rest of the workspace calls: topological sort
+//!   over a filtered edge subset (used for `Isa`-hierarchy validation) and
+//!   bounded simple-path enumeration (used by the algebra's path solver).
 //!
 //! The graph is append-only: nodes and edges are never removed. Schemas are
 //! built once and queried many times, so stable dense indices are worth far
@@ -24,12 +23,8 @@
 
 mod digraph;
 mod paths;
-mod scc;
 mod topo;
-mod traversal;
 
 pub use digraph::{DiGraph, Edge, EdgeId, NodeId};
-pub use paths::{simple_paths, simple_paths_filtered, SimplePath};
-pub use scc::{condensation, tarjan_scc};
-pub use topo::{topo_sort, topo_sort_filtered, CycleError};
-pub use traversal::{depth_first_events, reachable_from, Bfs, Dfs, DfsEvent};
+pub use paths::{simple_paths, SimplePath};
+pub use topo::{topo_sort_filtered, CycleError};

@@ -22,11 +22,6 @@ impl std::fmt::Display for CycleError {
 
 impl std::error::Error for CycleError {}
 
-/// Topologically sorts the whole graph. See [`topo_sort_filtered`].
-pub fn topo_sort<N, E>(graph: &DiGraph<N, E>) -> Result<Vec<NodeId>, CycleError> {
-    topo_sort_filtered(graph, |_, _| true)
-}
-
 /// Topologically sorts the subgraph consisting of all nodes and only the
 /// edges accepted by `edge_filter` (Kahn's algorithm).
 ///
@@ -86,7 +81,7 @@ mod tests {
         g.add_edge(a, b, ());
         g.add_edge(b, c, ());
         g.add_edge(a, c, ());
-        let order = topo_sort(&g).unwrap();
+        let order = topo_sort_filtered(&g, |_, _| true).unwrap();
         let pos = |n: NodeId| order.iter().position(|&x| x == n).unwrap();
         assert!(pos(a) < pos(b));
         assert!(pos(b) < pos(c));
@@ -99,7 +94,7 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, b, ());
         g.add_edge(b, a, ());
-        assert!(topo_sort(&g).is_err());
+        assert!(topo_sort_filtered(&g, |_, _| true).is_err());
     }
 
     #[test]
@@ -111,7 +106,7 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, b, 1);
         g.add_edge(b, a, 2);
-        assert!(topo_sort(&g).is_err());
+        assert!(topo_sort_filtered(&g, |_, _| true).is_err());
         let order = topo_sort_filtered(&g, |_, e| e.weight == 1).unwrap();
         let pos = |n: NodeId| order.iter().position(|&x| x == n).unwrap();
         assert!(pos(a) < pos(b));
@@ -120,7 +115,10 @@ mod tests {
     #[test]
     fn empty_graph_sorts_trivially() {
         let g: DiGraph<(), ()> = DiGraph::new();
-        assert_eq!(topo_sort(&g).unwrap(), Vec::<NodeId>::new());
+        assert_eq!(
+            topo_sort_filtered(&g, |_, _| true).unwrap(),
+            Vec::<NodeId>::new()
+        );
     }
 
     #[test]
@@ -128,6 +126,6 @@ mod tests {
         let mut g: DiGraph<(), ()> = DiGraph::new();
         let a = g.add_node(());
         g.add_edge(a, a, ());
-        assert_eq!(topo_sort(&g).unwrap_err().node, a);
+        assert_eq!(topo_sort_filtered(&g, |_, _| true).unwrap_err().node, a);
     }
 }

@@ -3,8 +3,8 @@
 
 use ipe_core::CompletionConfig;
 use ipe_oodb::gendata::{populate, DataConfig};
-use ipe_oodb::Database;
-use ipe_query::{query, Answer, QueryOptions};
+use ipe_oodb::{Database, EvalLimits};
+use ipe_query::{evaluate_completions, query, Answer, QueryOptions};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -48,7 +48,9 @@ fn certain_set(answers: &[ipe_query::ProvenanceAnswer]) -> BTreeSet<Answer> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Certain answers are a subset of possible answers at every E.
+    /// Certain answers are a subset of possible answers at every E, and
+    /// re-evaluating the same completions (the cache-hit path) gives the
+    /// same answers as the full query.
     #[test]
     fn certain_subset_of_possible(seed in 1u64..300, qi in 0usize..4, e in 1usize..5) {
         let db = random_db(seed);
@@ -58,6 +60,9 @@ proptest! {
         prop_assert!(certain.is_subset(&possible));
         prop_assert_eq!(certain.len(), out.certain);
         prop_assert_eq!(possible.len(), out.possible());
+        let warm = evaluate_completions(&db, &out.completions, &EvalLimits::default()).unwrap();
+        prop_assert_eq!(warm.answers, out.answers);
+        prop_assert_eq!(warm.certain, out.certain);
     }
 
     /// Differential check at E=1: evaluating each admitted completion

@@ -330,6 +330,7 @@ fn gen_data_e_sweep_is_monotone() {
         let possible = as_u64(&get(&v, "possible"));
         let certain = as_u64(&get(&v, "certain"));
         assert!(certain <= possible);
+        assert!(possible > 0, "e={e} produced no possible answers");
         assert!(possible >= prev_possible, "possible monotone in E");
         assert!(certain <= prev_certain, "certain antitone in E");
         prev_possible = possible;

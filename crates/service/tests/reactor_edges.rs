@@ -1,7 +1,7 @@
 //! Partial-I/O edge cases against the reactor front end: drip-fed
 //! request heads (slow loris), request lines split across writes,
-//! write-side backpressure on large pipelined responses, and
-//! read-deadline expiry mid-body.
+//! write-side backpressure on large pipelined responses, read-deadline
+//! expiry mid-body, and a burst of concurrent keep-alive connections.
 
 use ipe_schema::fixtures;
 use ipe_service::{Server, ServiceConfig};
@@ -176,5 +176,56 @@ fn write_backpressure_on_pipelined_responses_is_lossless() {
             "expected at least one WouldBlock on write: {body}"
         );
     }
+    server.shutdown();
+}
+
+/// 64 simultaneous keep-alive connections, 8 completions each, spread
+/// over the reactors: every answer is the two Figure-2 completions.
+#[test]
+fn sixty_four_connection_burst_answers_every_request() {
+    let server = Server::start(ServiceConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        reactors: 2,
+        ..Default::default()
+    })
+    .expect("bind ephemeral port");
+    server
+        .state()
+        .registry
+        .insert("default", fixtures::university());
+    let addr = server.addr().to_string();
+    std::thread::scope(|scope| {
+        for _ in 0..64 {
+            let mut client = ipe_service::Client::new(addr.clone());
+            scope.spawn(move || {
+                for _ in 0..8 {
+                    let (status, body) = client
+                        .request("POST", "/v1/complete", r#"{"query": "ta~name"}"#)
+                        .unwrap();
+                    assert_eq!(status, 200, "{body}");
+                    let v = serde_json::parse_value_text(&body).unwrap();
+                    let Some(serde::Value::Seq(items)) = v.get("completions") else {
+                        panic!("no completions array: {body}");
+                    };
+                    let mut texts: Vec<&str> = items
+                        .iter()
+                        .map(|c| match c.get("text") {
+                            Some(serde::Value::Str(t)) => t.as_str(),
+                            other => panic!("text is not a string: {other:?}"),
+                        })
+                        .collect();
+                    texts.sort_unstable();
+                    assert_eq!(
+                        texts,
+                        [
+                            "ta@>grad@>student@>person.name",
+                            "ta@>instructor@>teacher@>employee@>person.name"
+                        ],
+                        "{body}"
+                    );
+                }
+            });
+        }
+    });
     server.shutdown();
 }

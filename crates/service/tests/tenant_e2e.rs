@@ -103,6 +103,16 @@ fn tenant_namespaces_isolate_schemas_and_data() {
         let (status, body) = c.request("PUT", &format!("/v1/tenants/{t}"), "{}").unwrap();
         assert_eq!(status, 201, "{body}");
     }
+    // A second PUT reconfigures in place; a bad name is refused, and the
+    // `default` tenant cannot be deleted.
+    let (status, body) = c
+        .request("PUT", "/v1/tenants/a", "{\"cache_bytes\": 65536}")
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = c.request("PUT", "/v1/tenants/Not%20Valid", "{}").unwrap();
+    assert_eq!(status, 400, "{body}");
+    let (status, body) = c.request("DELETE", "/v1/tenants/default", "").unwrap();
+    assert_eq!(status, 409, "{body}");
     // Same name, different schemas.
     let uni = fixtures::university().to_json();
     let asm = fixtures::assembly().to_json();
@@ -112,6 +122,10 @@ fn tenant_namespaces_isolate_schemas_and_data() {
     assert_eq!(status, 200, "{body}");
     let v = serde_json::parse_value_text(&body).unwrap();
     assert_eq!(as_str(&get(&v, "name")), "s", "responses use bare names");
+    let (status, body) = c.request("GET", "/v1/t/a/schemas/s", "").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let v = serde_json::parse_value_text(&body).unwrap();
+    assert_eq!(as_str(&get(&v, "name")), "s", "{body}");
 
     // Each tenant completes against its own schema: `ta~name` parses in
     // the university schema, and the same query against the assembly

@@ -598,31 +598,38 @@ mod tests {
 
     #[test]
     fn puts_and_deletes_replay_across_reopen() {
-        let dir = tmp_dir("replay");
-        {
-            let (mut store, _) = Store::open(&cfg(&dir, 0)).unwrap();
-            store
-                .append_put(DEFAULT_TENANT, "a", 1, 1, "{\"a\":1}")
-                .unwrap();
-            store
-                .append_put(DEFAULT_TENANT, "b", 2, 1, "{\"b\":1}")
-                .unwrap();
-            store
-                .append_put(DEFAULT_TENANT, "a", 1, 2, "{\"a\":2}")
-                .unwrap();
-            store.append_delete(DEFAULT_TENANT, "b").unwrap();
-            store.sync().unwrap();
+        // With `snapshot_every` 4 the delete of the highest id is the
+        // append that takes the snapshot, so `max_id` must survive it.
+        for snapshot_every in [0, 4] {
+            let dir = tmp_dir("replay");
+            {
+                let (mut store, _) = Store::open(&cfg(&dir, snapshot_every)).unwrap();
+                store
+                    .append_put(DEFAULT_TENANT, "a", 1, 1, "{\"a\":1}")
+                    .unwrap();
+                store
+                    .append_put(DEFAULT_TENANT, "b", 2, 1, "{\"b\":1}")
+                    .unwrap();
+                store
+                    .append_put(DEFAULT_TENANT, "a", 1, 2, "{\"a\":2}")
+                    .unwrap();
+                let delete = store.append_delete(DEFAULT_TENANT, "b").unwrap();
+                assert_eq!(delete.snapshotted, snapshot_every == 4);
+                store.sync().unwrap();
+            }
+            let (store, rec) = Store::open(&cfg(&dir, snapshot_every)).unwrap();
+            assert_eq!(rec.from_snapshot, snapshot_every == 4);
+            assert_eq!(rec.last_seq, 4);
+            assert_eq!(rec.wal_records, if snapshot_every == 4 { 0 } else { 4 });
+            assert_eq!(rec.max_id, 2, "deleted ids still count toward max_id");
+            assert_eq!(rec.schemas.len(), 1);
+            assert_eq!(rec.schemas[0].name, "a");
+            assert_eq!(rec.schemas[0].generation, 2);
+            assert_eq!(rec.schemas[0].schema_json, "{\"a\":2}");
+            assert_eq!(store.last_seq(), 4);
+            assert_eq!(store.max_id(), 2, "the reopened store never reissues id 2");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        let (store, rec) = Store::open(&cfg(&dir, 0)).unwrap();
-        assert_eq!(rec.last_seq, 4);
-        assert_eq!(rec.wal_records, 4);
-        assert_eq!(rec.max_id, 2, "deleted ids still count toward max_id");
-        assert_eq!(rec.schemas.len(), 1);
-        assert_eq!(rec.schemas[0].name, "a");
-        assert_eq!(rec.schemas[0].generation, 2);
-        assert_eq!(rec.schemas[0].schema_json, "{\"a\":2}");
-        assert_eq!(store.last_seq(), 4);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -661,6 +668,22 @@ mod tests {
         assert_eq!(rec.last_seq, 3);
         let a = rec.schemas.iter().find(|s| s.name == "a").unwrap();
         assert_eq!(a.generation, 2);
+
+        // Tear the suffix record: recovery keeps the snapshot's state.
+        let path = dir.join(WAL_FILE);
+        let len = std::fs::metadata(&path).unwrap().len();
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 3)
+            .unwrap();
+        let (store, rec) = Store::open(&cfg(&dir, 2)).unwrap();
+        assert!(rec.from_snapshot && rec.truncated_tail);
+        assert_eq!(rec.last_seq, 2);
+        let a = rec.schemas.iter().find(|s| s.name == "a").unwrap();
+        assert_eq!(a.generation, 1);
+        assert_eq!(store.max_id(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,30 +17,17 @@ cargo test -q --workspace
 echo "== tests (obs-off) =="
 cargo test -q -p ipe-obs -p ipe-algebra -p ipe-core -p ipe-index -p ipe-oodb -p ipe-query -p ipe-repl -p ipe-service -p ipe-store -p ipe-tenant --features obs-off
 
-echo "== service smoke (incl. 64-connection reactor burst) =="
-serve_log="$(mktemp)"
-./target/release/ipe serve --addr 127.0.0.1:0 >"$serve_log" 2>&1 &
-serve_pid=$!
-trap 'kill "$serve_pid" 2>/dev/null || true; rm -f "$serve_log"' EXIT
-addr=""
-for _ in $(seq 1 100); do
-  addr="$(sed -n 's#.*http://##p' "$serve_log" | head -n 1)"
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
-if [ -z "$addr" ]; then
-  echo "error: server never announced its address:" >&2
-  cat "$serve_log" >&2
-  exit 1
-fi
-./target/release/service_load --smoke --shutdown --addr "$addr"
-wait "$serve_pid"   # clean exit after POST /v1/shutdown
-trap - EXIT
-rm -f "$serve_log"
+echo "== service e2e =="
+# Figure-2 answers and a cache hit over HTTP, /metrics cache counts, and
+# the real `ipe serve` binary answering and exiting cleanly on
+# POST /v1/shutdown.
+cargo test -q -p ipe-service --test server -- complete_ta_name_and_cache_hit metrics_reflect_cache_traffic
+cargo test -q --test cli_args report_flag_composes_with_serve
 
 echo "== reactor partial-I/O edges =="
 # Slow-loris heads, split request lines, write backpressure, mid-body
-# deadline expiry — the front end's worst-case socket behaviour.
+# deadline expiry, a 64-connection burst — the front end's worst-case
+# socket behaviour.
 cargo test -q -p ipe-service --test reactor_edges
 
 echo "== metrics-lint =="
@@ -58,32 +45,42 @@ for _ in $(seq 1 20); do
   cargo test -q -p ipe-service --test server flight_recorder_
 done
 
-echo "== batch smoke =="
-./target/release/batch_bench --smoke
+echo "== batch deadlines =="
+# Deadline-bound items fail alone, at 1 and 2 worker threads and per item
+# over HTTP.
+cargo test -q -p ipe-core --lib batch::
+cargo test -q -p ipe-service --test server batch_deadline_is_per_item
 
 echo "== index smoke =="
 ./target/release/index_bench --smoke
 
-echo "== query smoke =="
-./target/release/query_bench --smoke
+echo "== query semantics =="
+# certain ⊆ possible, certain antitone and possible monotone in E, and
+# re-evaluated completions answer as the full query does.
+cargo test -q -p ipe-query --test query_props
+cargo test -q -p ipe-service --test query_e2e gen_data_e_sweep_is_monotone
 
-echo "== store smoke =="
-./target/release/store_bench --smoke
-
-echo "== store kill -9 recovery smoke =="
-./target/release/store_bench --kill9-smoke
-
-echo "== replication smoke =="
-./target/release/repl_bench --smoke
-
-echo "== tenant smoke =="
-./target/release/tenant_bench --smoke
+echo "== store recovery =="
+# Compaction, torn tails after a snapshot, and the durable prefix at every
+# byte boundary of the last record.
+cargo test -q -p ipe-store --lib store::
+cargo test -q -p ipe-store --test recovery
 
 echo "== WAL v1 -> v2 migration =="
 cargo test -q -p ipe-store --test migration
 
-echo "== replication kill -9 catch-up smoke =="
-./target/release/repl_bench --kill9-smoke
+echo "== crash drills =="
+# SIGKILL the real binary under fsync'd PUT traffic, and a durable
+# follower after it caught up; restart both on their data directories.
+cargo test -q --test crash_drills
+
+echo "== replication =="
+cargo test -q -p ipe-service --test repl_e2e -- two_followers_converge_and_serve_reads \
+  follower_refuses_schema_writes_with_leader_address
+
+echo "== tenants =="
+cargo test -q -p ipe-service --test tenant_e2e -- tenant_namespaces_isolate_schemas_and_data \
+  retry_envelopes_are_machine_readable tenant_delete_purges_namespace_durably
 
 echo "== benchmark smoke =="
 # Catches a service API or /metrics change that breaks the benchmark's
@@ -114,7 +111,7 @@ echo "== rustdoc =="
 # are excluded: they stand in for published ones and are not documented
 # here (proptest's shim also has an ambiguous `vec` link).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
-  --exclude criterion --exclude proptest --exclude rand --exclude rand_chacha \
+  --exclude proptest --exclude rand --exclude rand_chacha \
   --exclude serde --exclude serde_derive --exclude serde_json
 
 echo "OK: all checks passed"

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure of the paper's evaluation plus the
-# extension studies, writing the combined output to experiments_output.txt.
+# extension studies and the ablations, writing the combined output to
+# experiments_output.txt.
 # Usage: scripts/run_experiments.sh [seed] [#seeds]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,4 +28,6 @@ cargo build --release -p ipe-bench
   cargo run -q -p ipe-bench --release --bin baseline_compare -- "$SEED" 2
   echo; echo "== Extension: scaling =="
   cargo run -q -p ipe-bench --release --bin scaling
+  echo; echo "== Ablations =="
+  cargo run -q -p ipe-bench --release --bin ablation -- "$SEED"
 } | tee "$OUT"

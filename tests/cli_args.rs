@@ -109,6 +109,10 @@ fn report_flag_composes_with_serve() {
         .expect("server reachable");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("ta@>grad@>student@>person.name"), "{body}");
+    assert!(
+        body.contains("ta@>instructor@>teacher@>employee@>person.name"),
+        "{body}"
+    );
     let (status, _) = client.request("POST", "/v1/shutdown", "").unwrap();
     assert_eq!(status, 200);
 
