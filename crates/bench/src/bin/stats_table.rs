@@ -39,26 +39,18 @@ fn main() {
         let consistent = exhaustive::all_consistent(schema, root, &q.target, &oracle_cfg)
             .map(|v| v.len())
             .unwrap_or(oracle_cfg.max_results);
-        let returned = engine.complete(&q.ast()).map(|v| v.len()).unwrap_or(0);
-        let avg_len: f64 = engine
-            .complete(&q.ast())
-            .map(|v| {
-                if v.is_empty() {
-                    0.0
-                } else {
-                    v.iter().map(|c| c.len()).sum::<usize>() as f64 / v.len() as f64
-                }
-            })
-            .unwrap_or(0.0);
+        let answers = engine.complete(&q.ast()).unwrap_or_default();
+        let returned = answers.len();
+        let total_len: usize = answers.iter().map(|c| c.len()).sum();
+        let avg_len = if returned == 0 {
+            0.0
+        } else {
+            total_len as f64 / returned as f64
+        };
         sum_consistent += consistent;
         sum_returned += returned;
-        if returned > 0 {
-            sum_len += engine
-                .complete(&q.ast())
-                .map(|v| v.iter().map(|c| c.len()).sum::<usize>())
-                .unwrap_or(0);
-            len_count += returned;
-        }
+        sum_len += total_len;
+        len_count += returned;
         rows.push(vec![
             (i + 1).to_string(),
             q.expr.clone(),
