@@ -3,9 +3,8 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! [magic: 8 bytes "IPEIDX01"]
+//! [magic: 8 bytes "IPEIDX02"]
 //! [class_count: u32] [rel_count: u32]
-//! [pair_conn: n*n × u16] [pair_semlen: n*n × u16]
 //! [goal_count: u32]
 //! goal_count × { [name_len: u32][name]
 //!                [conn_mask: n × u16]
@@ -15,13 +14,16 @@
 //!
 //! Names are serialized as strings (interned symbols are not stable across
 //! schema reloads) and re-resolved on load; goals are written in name
-//! order so the bytes are deterministic. Any mismatch against the schema —
-//! wrong counts, unknown name, out-edge lists that are not permutations of
-//! the schema's — makes [`from_bytes`] return `None`, which callers treat
-//! as "rebuild". Integrity (checksums, generation pinning) is the sidecar
-//! layer's job, not this format's.
+//! order so the bytes are deterministic. `IPEIDX01`, the layout before
+//! this one, also carried two `n × n` class-pair matrices; its magic no
+//! longer matches, so an old sidecar is rebuilt. Any mismatch against the
+//! schema — wrong counts, more goals than the bytes can hold, unknown
+//! name, out-edge lists whose lengths differ from the schema's — makes
+//! [`from_bytes`] return `None`, which callers treat as "rebuild".
+//! Integrity (checksums, generation pinning) is the sidecar layer's job,
+//! not this format's.
 
-use crate::goal::GoalTable;
+use crate::goal::{out_offsets, GoalTable};
 use crate::IndexedSchema;
 use ipe_graph::EdgeId;
 use ipe_schema::{RelId, Schema, Symbol};
@@ -29,11 +31,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Magic bytes opening every serialized index.
-pub const INDEX_MAGIC: &[u8; 8] = b"IPEIDX01";
+pub const INDEX_MAGIC: &[u8; 8] = b"IPEIDX02";
 
 pub(crate) fn to_bytes(index: &IndexedSchema, schema: &Schema) -> Vec<u8> {
     let n = index.class_count();
-    let (pair_conn, pair_semlen) = index.pair_parts();
     let goals = index.goals.read().expect("index poisoned");
     let mut named: Vec<(String, Arc<GoalTable>)> = goals
         .iter()
@@ -46,17 +47,11 @@ pub(crate) fn to_bytes(index: &IndexedSchema, schema: &Schema) -> Vec<u8> {
     out.extend_from_slice(INDEX_MAGIC);
     out.extend_from_slice(&(n as u32).to_le_bytes());
     out.extend_from_slice(&(index.rel_count() as u32).to_le_bytes());
-    for &m in pair_conn {
-        out.extend_from_slice(&m.to_le_bytes());
-    }
-    for &d in pair_semlen {
-        out.extend_from_slice(&d.to_le_bytes());
-    }
     out.extend_from_slice(&(named.len() as u32).to_le_bytes());
     for (name, table) in named {
         out.extend_from_slice(&(name.len() as u32).to_le_bytes());
         out.extend_from_slice(name.as_bytes());
-        let (conn_mask, semlen_by_first, ordered_out) = table.parts();
+        let (conn_mask, semlen_by_first) = table.parts();
         for &m in conn_mask {
             out.extend_from_slice(&m.to_le_bytes());
         }
@@ -65,7 +60,8 @@ pub(crate) fn to_bytes(index: &IndexedSchema, schema: &Schema) -> Vec<u8> {
                 out.extend_from_slice(&d.to_le_bytes());
             }
         }
-        for rels in ordered_out {
+        for class in schema.classes() {
+            let rels = table.ordered_out(class);
             out.extend_from_slice(&(rels.len() as u32).to_le_bytes());
             for &r in rels {
                 out.extend_from_slice(&(r.index() as u32).to_le_bytes());
@@ -85,9 +81,15 @@ pub(crate) fn from_bytes(bytes: &[u8], schema: &Schema) -> Option<IndexedSchema>
     if n != schema.class_count() || rel_count != schema.rel_count() {
         return None;
     }
-    let pair_conn = r.u16s(n * n)?;
-    let pair_semlen = r.u16s(n * n)?;
     let goal_count = r.u32()? as usize;
+    // Every goal record holds at least its name length, its two per-class
+    // tables and one out-edge count per class; a count the remaining bytes
+    // cannot hold is rejected before anything is sized from it.
+    let min_record = 4 + n * (2 + 10 + 4);
+    if goal_count > r.remaining() / min_record {
+        return None;
+    }
+    let offsets = out_offsets(schema);
     let mut goals: HashMap<Symbol, Arc<GoalTable>> = HashMap::with_capacity(goal_count);
     for _ in 0..goal_count {
         let name_len = r.u32()? as usize;
@@ -99,21 +101,19 @@ pub(crate) fn from_bytes(bytes: &[u8], schema: &Schema) -> Option<IndexedSchema>
             .chunks_exact(5)
             .map(|c| [c[0], c[1], c[2], c[3], c[4]])
             .collect();
-        let mut ordered_out: Vec<Vec<RelId>> = Vec::with_capacity(n);
+        let mut ordered_out: Vec<RelId> = Vec::with_capacity(rel_count);
         for class in schema.classes() {
             let len = r.u32()? as usize;
             if len != schema.graph().out_edge_ids(class.0).len() {
                 return None;
             }
-            let mut rels = Vec::with_capacity(len);
             for _ in 0..len {
                 let id = r.u32()? as usize;
                 if id >= rel_count {
                     return None;
                 }
-                rels.push(RelId(EdgeId(id as u32)));
+                ordered_out.push(RelId(EdgeId(id as u32)));
             }
-            ordered_out.push(rels);
         }
         goals.insert(
             symbol,
@@ -122,18 +122,14 @@ pub(crate) fn from_bytes(bytes: &[u8], schema: &Schema) -> Option<IndexedSchema>
                 conn_mask,
                 semlen_by_first,
                 ordered_out,
+                offsets.clone(),
             )),
         );
     }
     if !r.done() {
         return None;
     }
-    Some(IndexedSchema::from_parts(
-        schema,
-        pair_conn,
-        pair_semlen,
-        goals,
-    ))
+    Some(IndexedSchema::from_parts(schema, offsets, goals))
 }
 
 struct Reader<'a> {
@@ -165,8 +161,12 @@ impl<'a> Reader<'a> {
         )
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.at
+    }
+
     fn done(&self) -> bool {
-        self.at == self.bytes.len()
+        self.remaining() == 0
     }
 }
 
@@ -187,12 +187,6 @@ mod tests {
         let a = index.goal_if_built(name).unwrap();
         let b = back.goal_if_built(name).unwrap();
         assert_eq!(*a, *b);
-        for x in schema.classes() {
-            for y in schema.classes() {
-                assert_eq!(index.pair_conn_mask(x, y), back.pair_conn_mask(x, y));
-                assert_eq!(index.pair_min_semlen(x, y), back.pair_min_semlen(x, y));
-            }
-        }
     }
 
     #[test]
@@ -224,5 +218,46 @@ mod tests {
         let mut bad_magic = bytes;
         bad_magic[0] ^= 0xFF;
         assert!(IndexedSchema::from_bytes(&bad_magic, &schema).is_none());
+    }
+
+    /// Patches the goal count of a serialized index (it follows the magic
+    /// and the two schema counts).
+    fn with_goal_count(mut bytes: Vec<u8>, count: u32) -> Vec<u8> {
+        bytes[16..20].copy_from_slice(&count.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn goal_count_beyond_the_payload_is_rejected() {
+        let schema = fixtures::university();
+        let bytes = IndexedSchema::build(&schema, IndexMode::On).to_bytes(&schema);
+        for count in [u32::MAX, u32::MAX / 2, 1 << 20] {
+            let patched = with_goal_count(bytes.clone(), count);
+            assert!(IndexedSchema::from_bytes(&patched, &schema).is_none());
+        }
+    }
+
+    /// An `IPEIDX01` index: the current goal records behind the old magic
+    /// and the old layout's two `n × n` `u16` pair matrices, here all
+    /// `0xFFFF` (the old "no walk" sentinel).
+    fn old_layout(bytes: &[u8], n: usize) -> Vec<u8> {
+        let mut old = b"IPEIDX01".to_vec();
+        old.extend_from_slice(&bytes[8..16]);
+        old.extend(vec![0xFF; 2 * n * n * 2]);
+        old.extend_from_slice(&bytes[16..]);
+        old
+    }
+
+    #[test]
+    fn old_layout_payload_is_rejected() {
+        let schema = fixtures::university();
+        let bytes = IndexedSchema::build(&schema, IndexMode::On).to_bytes(&schema);
+        let old = old_layout(&bytes, schema.class_count());
+        assert!(IndexedSchema::from_bytes(&old, &schema).is_none());
+        // Behind the current magic, the start of the pair matrices reads as
+        // a goal count of `u32::MAX`, which the bound rejects.
+        let mut relabelled = old;
+        relabelled[..8].copy_from_slice(INDEX_MAGIC);
+        assert!(IndexedSchema::from_bytes(&relabelled, &schema).is_none());
     }
 }

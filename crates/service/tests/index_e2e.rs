@@ -77,9 +77,34 @@ fn wait_for_index(client: &mut Client, what: &str, pred: impl Fn(&Value) -> bool
     }
 }
 
+/// A `/v1/complete` body the startup cache warm-up never fills: it warms
+/// only the default configuration, and this one asks for `E = 3`.
+const UNWARMED_COMPLETE: &str = r#"{"schema": "uni", "query": "ta~name", "e": 3}"#;
+
+/// The completions of `/v1/complete` with `body`.
+fn completions(client: &mut Client, body: &str) -> Value {
+    let (status, reply) = client.request("POST", "/v1/complete", body).unwrap();
+    assert_eq!(status, 200, "{reply}");
+    get(
+        &serde_json::parse_value_text(&reply).unwrap(),
+        "completions",
+    )
+}
+
+/// The `IPEIDX01` form of a current index payload: the same goal records
+/// behind the old magic and the old layout's two `n × n` `u16` class-pair
+/// matrices (here all `0xFFFF`).
+fn old_layout_index(payload: &[u8], class_count: usize) -> Vec<u8> {
+    let mut old = b"IPEIDX01".to_vec();
+    old.extend_from_slice(&payload[8..16]);
+    old.extend(vec![0xFF; 2 * class_count * class_count * 2]);
+    old.extend_from_slice(&payload[16..]);
+    old
+}
+
 /// A sidecar written on one run is loaded on the next (skipping the
-/// rebuild), while a tampered or stale sidecar silently degrades to a
-/// fresh background build with identical results.
+/// rebuild), while a tampered, stale or old-layout sidecar silently
+/// degrades to a fresh background build with identical results.
 #[test]
 fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
     let dir = tmp_dir("sidecar");
@@ -88,12 +113,14 @@ fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
     // Run A: PUT, wait for the build, shutdown (joins the builder so the
     // sidecar write lands before exit).
     let schema_id;
+    let generation;
     {
         let (server, mut client) = server_with(&dir);
         let (status, body) = client.request("PUT", "/v1/schemas/uni", &uni).unwrap();
         assert_eq!(status, 200, "{body}");
         let v = serde_json::parse_value_text(&body).unwrap();
         schema_id = as_u64(&get(&v, "id"));
+        generation = as_u64(&get(&v, "generation"));
         wait_for_index(&mut client, "initial build", |m| {
             as_u64(&get(m, "builds_completed")) >= 1
         });
@@ -104,6 +131,7 @@ fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
 
     // Run B: restart loads the sidecar instead of rebuilding, and an
     // uncached complete is indexed from the first request.
+    let before_restarts;
     {
         let (server, mut client) = server_with(&dir);
         let m = index_metrics(&mut client);
@@ -119,6 +147,7 @@ fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
         assert_eq!(status, 200, "{body}");
         let m = index_metrics(&mut client);
         assert!(as_u64(&get(&m, "completes_indexed")) >= 1, "{m:?}");
+        before_restarts = completions(&mut client, UNWARMED_COMPLETE);
         server.shutdown();
     }
 
@@ -163,6 +192,30 @@ fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
         });
         let (status, _) = client.request("GET", "/v1/schemas/uni", "").unwrap();
         assert_eq!(status, 200);
+        server.shutdown();
+    }
+
+    // Run E: a sidecar of the current generation with a valid checksum
+    // whose payload has the old index layout (`IPEIDX01`). The server
+    // starts, does not load it, rebuilds, and answers as before.
+    let payload = ipe_store::read_sidecar(&sidecar, schema_id, generation)
+        .expect("run D left a sidecar of the current generation");
+    let old = old_layout_index(&payload, fixtures::university().class_count());
+    ipe_store::write_sidecar(&sidecar, schema_id, generation, &old).unwrap();
+    {
+        let (server, mut client) = server_with(&dir);
+        let m = index_metrics(&mut client);
+        assert_eq!(
+            as_u64(&get(&m, "sidecar_loads")),
+            0,
+            "an old-layout sidecar must never be loaded: {m:?}"
+        );
+        wait_for_index(&mut client, "rebuild after old-layout sidecar", |m| {
+            as_u64(&get(m, "builds_completed")) >= 1
+        });
+        assert_eq!(completions(&mut client, UNWARMED_COMPLETE), before_restarts);
+        let m = index_metrics(&mut client);
+        assert!(as_u64(&get(&m, "completes_indexed")) >= 1, "{m:?}");
         server.shutdown();
     }
 

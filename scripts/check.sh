@@ -19,12 +19,9 @@ echo "== tests =="
 cargo test -q --workspace
 
 echo "== tests (obs-off) =="
+# With probes compiled out, among them the Prometheus exposition lint
+# (`ipe-service`'s `server` tests named `prometheus_`).
 cargo test -q -p ipe-obs -p ipe-algebra -p ipe-core -p ipe-index -p ipe-oodb -p ipe-query -p ipe-repl -p ipe-service -p ipe-store -p ipe-tenant --features obs-off
-
-echo "== metrics-lint (obs-off) =="
-# Prometheus exposition must pass the in-repo format lint with probes
-# compiled out too (the default-feature lint ran under `tests`).
-cargo test -q -p ipe-service --test server prometheus_ --features obs-off
 
 echo "== flight-recorder repeat =="
 # The flight-recorder tests run 20 times, so a timing flake shows here
