@@ -43,18 +43,30 @@ fn main() {
         .iter()
         .map(|t| t.micros as f64 / 1000.0)
         .fold(0.0f64, f64::max);
+    let ns_per_call = if total_calls == 0 {
+        0.0
+    } else {
+        total_ms * 1e6 / total_calls as f64
+    };
     println!();
     println!(
-        "average response: {:.3} ms   worst: {:.3} ms   avg cost/recursive call: {:.4} ms",
+        "average response: {:.3} ms   worst: {:.3} ms   avg cost/recursive call: {} ns",
         total_ms / timings.len().max(1) as f64,
         max_ms,
-        if total_calls == 0 {
-            0.0
-        } else {
-            total_ms / total_calls as f64
-        },
+        three_significant(ns_per_call),
     );
     println!("paper: avg 6.29 s, worst 14.45 s, 0.17 ms per recursive call (1994 hardware);");
     println!("the expected shape — orders of magnitude of variance across queries, worst several times the average — holds.");
     ipe_bench::write_run_report("fig7_response_time", &[("seed", &seed.to_string())]);
+}
+
+/// `x` with at least three significant digits (more for values of 1000
+/// and up, which print whole).
+fn three_significant(x: f64) -> String {
+    let decimals = if x > 0.0 {
+        (2 - x.log10().floor() as i32).max(0) as usize
+    } else {
+        0
+    };
+    format!("{x:.decimals$}")
 }

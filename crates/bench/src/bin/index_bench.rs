@@ -8,7 +8,11 @@
 //!
 //! Also records what the index costs: one-off build time per schema size,
 //! so the break-even point (a handful of queries) is visible next to the
-//! per-query savings.
+//! per-query savings. A third engine runs the workload over a lazy index,
+//! which builds a goal table the first time a query names it; it must
+//! return the same completion sets, and the number of tables it built,
+//! next to the eager build's count, is how much of the eager build the
+//! workload reads.
 //!
 //! Writes `BENCH_index.json` (see `ipe_bench::write_run_report_with_stats`).
 //! `--smoke` runs the same correctness assertions on the two smaller
@@ -66,14 +70,23 @@ fn main() -> ExitCode {
         let index: SearchIndex = Arc::new(IndexedSchema::build(&gen.schema, IndexMode::On));
         let build_us = build_start.elapsed().as_micros() as u64;
 
+        let eager_tables = index.goal_count() as u64;
+        let lazy: SearchIndex = Arc::new(IndexedSchema::build(&gen.schema, IndexMode::Lazy));
+
         let plain = Completer::with_config(&gen.schema, CompletionConfig::default());
         let mut indexed = Completer::with_config(&gen.schema, CompletionConfig::default());
         assert!(indexed.attach_index(index), "fresh index must fit");
+        let mut lazily = Completer::with_config(&gen.schema, CompletionConfig::default());
+        assert!(
+            lazily.attach_index(Arc::clone(&lazy)),
+            "fresh index must fit"
+        );
 
         let mut plain_calls = 0u64;
         let mut indexed_calls = 0u64;
         let mut plain_ms = 0.0f64;
         let mut indexed_ms = 0.0f64;
+        let mut lazy_ms = 0.0f64;
         for q in &workload {
             let ast = q.ast();
             let start = Instant::now();
@@ -82,6 +95,9 @@ fn main() -> ExitCode {
             let start = Instant::now();
             let guided = indexed.complete_with_stats(&ast).expect("indexed search");
             indexed_ms += start.elapsed().as_secs_f64() * 1e3;
+            let start = Instant::now();
+            let deferred = lazily.complete_with_stats(&ast).expect("lazy search");
+            lazy_ms += start.elapsed().as_secs_f64() * 1e3;
             let render = |o: &ipe_core::SearchOutcome| -> Vec<String> {
                 o.completions
                     .iter()
@@ -94,9 +110,21 @@ fn main() -> ExitCode {
                 "completion sets diverged on `{}` ({classes} classes)",
                 q.expr
             );
+            assert_eq!(
+                render(&cold),
+                render(&deferred),
+                "lazy-index completion sets diverged on `{}` ({classes} classes)",
+                q.expr
+            );
+            assert_eq!(
+                guided.stats, deferred.stats,
+                "lazy and eager index searches differ on `{}` ({classes} classes)",
+                q.expr
+            );
             plain_calls += cold.stats.calls;
             indexed_calls += guided.stats.calls;
         }
+        let lazy_tables = lazy.goal_count() as u64;
         total_plain += plain_calls;
         total_indexed += indexed_calls;
         let ratio = plain_calls as f64 / indexed_calls.max(1) as f64;
@@ -106,9 +134,12 @@ fn main() -> ExitCode {
             format!("{:.1} ms", build_us as f64 / 1e3),
             format!("{plain_calls} ({plain_ms:.1} ms)"),
             format!("{indexed_calls} ({indexed_ms:.1} ms)"),
+            format!("{lazy_tables}/{eager_tables} tables ({lazy_ms:.1} ms)"),
             format!("{ratio:.1}x"),
         ]);
         stats.push((format!("build_us_{classes}"), build_us));
+        stats.push((format!("goal_tables_built_{classes}"), lazy_tables));
+        stats.push((format!("goal_tables_eager_{classes}"), eager_tables));
         stats.push((format!("plain_calls_{classes}"), plain_calls));
         stats.push((format!("indexed_calls_{classes}"), indexed_calls));
     }
@@ -121,6 +152,7 @@ fn main() -> ExitCode {
                 "index build",
                 "cold DFS calls",
                 "indexed calls",
+                "lazy index",
                 "reduction",
             ],
             &rows

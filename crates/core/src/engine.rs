@@ -13,7 +13,7 @@ use ipe_index::{GoalTable, SearchIndex};
 use ipe_obs::{counter, Counter, EventKind, SearchTrace, SpanGuard};
 use ipe_parser::PathExprAst;
 use ipe_schema::{ClassId, RelId, Schema, Symbol};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Counters describing one completion run, mirroring the paper's Section
 /// 5.4 measurements (each recursive call "corresponds to an exploration of
@@ -138,13 +138,14 @@ pub struct TracedOutcome {
 
 /// The completion engine over one schema.
 ///
-/// Construction precomputes, per class, the out-relationships sorted
-/// best-label-first (the paper's `children[v]` ordering) and the exclusion
-/// bitmap for domain knowledge.
+/// Construction precomputes the exclusion bitmap for domain knowledge. The
+/// first unindexed segment search also sorts, per class, the
+/// out-relationships best-label-first (the paper's `children[v]`
+/// ordering); an indexed search takes its order from the goal table.
 pub struct Completer<'s> {
     schema: &'s Schema,
     config: CompletionConfig,
-    sorted_out: Vec<Vec<RelId>>,
+    sorted_out: OnceLock<Vec<Vec<RelId>>>,
     excluded: Vec<bool>,
     index: Option<SearchIndex>,
 }
@@ -163,15 +164,6 @@ impl<'s> Completer<'s> {
     /// Panics if `config.e == 0`.
     pub fn with_config(schema: &'s Schema, config: CompletionConfig) -> Self {
         assert!(config.e >= 1, "AGG* requires E >= 1");
-        let mut sorted_out: Vec<Vec<RelId>> = Vec::with_capacity(schema.class_count());
-        for class in schema.classes() {
-            let mut rels: Vec<RelId> = schema.out_rels(class).map(|r| r.id).collect();
-            rels.sort_by_key(|&r| {
-                let kind = schema.rel(r).kind;
-                (rank(kind.connector()), kind.semantic_length())
-            });
-            sorted_out.push(rels);
-        }
         let mut excluded = vec![false; schema.class_count()];
         for &c in &config.excluded_classes {
             excluded[c.index()] = true;
@@ -179,7 +171,7 @@ impl<'s> Completer<'s> {
         Completer {
             schema,
             config,
-            sorted_out,
+            sorted_out: OnceLock::new(),
             excluded,
             index: None,
         }
@@ -199,6 +191,26 @@ impl<'s> Completer<'s> {
         }
         self.index = Some(index);
         true
+    }
+
+    /// The out-relationships of `v` in the static best-label-first order
+    /// unindexed search expands them in, sorted for every class on first
+    /// use.
+    fn sorted_out(&self, v: ClassId) -> &[RelId] {
+        let sorted = self.sorted_out.get_or_init(|| {
+            self.schema
+                .classes()
+                .map(|class| {
+                    let mut rels: Vec<RelId> = self.schema.out_rels(class).map(|r| r.id).collect();
+                    rels.sort_by_key(|&r| {
+                        let kind = self.schema.rel(r).kind;
+                        (rank(kind.connector()), kind.semantic_length())
+                    });
+                    rels
+                })
+                .collect()
+        });
+        &sorted[v.index()]
     }
 
     /// The attached search index, if any.
@@ -581,10 +593,21 @@ impl<'c, 's> SegmentSearch<'c, 's> {
             .record(observe::ev(EventKind::Expand, v, &l_v, path.len()));
         on_path[v.index()] = true;
 
+        // With a goal table the successors are visited best-completion-
+        // bound first, so strong completions are found early and the
+        // branch-and-bound sets bite sooner; otherwise the engine's static
+        // per-class order is used. Both orders hold the same edges.
+        let out_order: &[RelId] = match goal {
+            Some(g) => g.ordered_out(v),
+            None => self.completer.sorted_out(v),
+        };
+
         // Completion pass: out-edges named N terminate candidate paths.
         // Done before expansion so best[T] blocks useless subtrees early
         // (the paper explores T's edges out of order for the same reason).
-        for &rid in &self.completer.sorted_out[v.index()] {
+        // A class has at most one out-edge named N, so the order this pass
+        // reads the edges in does not matter.
+        for &rid in out_order {
             let rel = schema.rel(rid);
             if rel.name != self.target_name {
                 continue;
@@ -618,14 +641,7 @@ impl<'c, 's> SegmentSearch<'c, 's> {
             }
         }
 
-        // Expansion pass. With a goal table the successors are visited
-        // best-completion-bound first, so strong completions are found
-        // early and the branch-and-bound sets bite sooner; otherwise the
-        // engine's static per-class order is used.
-        let out_order: &[RelId] = match goal {
-            Some(g) => g.ordered_out(v),
-            None => &self.completer.sorted_out[v.index()],
-        };
+        // Expansion pass.
         for &rid in out_order {
             let rel = schema.rel(rid);
             let u = rel.target;
@@ -648,7 +664,7 @@ impl<'c, 's> SegmentSearch<'c, 's> {
             }
             // Expanding into a class with no outgoing relationships cannot
             // produce a completion (primitives in particular).
-            if self.completer.sorted_out[u.index()].is_empty() {
+            if schema.graph().out_edge_ids(u.0).is_empty() {
                 self.trace
                     .record(observe::ev(EventKind::DeadEnd, u, &l_v, path.len()));
                 continue;

@@ -1,7 +1,8 @@
 //! The Inheritance Semantics Criterion (paper Section 4.3, Figure 4).
 
 use crate::path::Completion;
-use ipe_schema::{RelKind, Schema};
+use ipe_schema::{ClassId, RelId, RelKind, Schema, Symbol};
+use std::collections::HashSet;
 
 /// Whether `p1` preempts `p2` under the Inheritance Semantics Criterion.
 ///
@@ -45,9 +46,46 @@ pub fn preempts(schema: &Schema, p1: &Completion, p2: &Completion) -> bool {
 }
 
 /// Removes every completion preempted by another member of `found`.
+///
+/// Equivalent to dropping each `p2` for which some `p1` in `found`
+/// [`preempts`] it, without testing every pair: every completion
+/// `α · e1` with a non-`Isa` last edge can preempt exactly the
+/// completions `α · i_1 … i_k · e2` that share its root, its prefix `α`
+/// and its last edge's name. So each such completion inserts the key
+/// `(root, α, name(e1))` into a set, and `p2` is preempted when the walk
+/// back over the `Isa` run before its non-`Isa` last edge meets a prefix
+/// whose key is in the set.
 pub fn apply_inheritance_criterion(schema: &Schema, found: &mut Vec<Completion>) {
-    let snapshot = found.clone();
-    found.retain(|p2| !snapshot.iter().any(|p1| preempts(schema, p1, p2)));
+    let is_isa = |e: RelId| schema.rel(e).kind == RelKind::Isa;
+    let preempted: Vec<bool> = {
+        let mut nearest: HashSet<(ClassId, &[RelId], Symbol)> = HashSet::new();
+        for p1 in found.iter() {
+            if let Some((&e1, alpha)) = p1.edges.split_last() {
+                if !is_isa(e1) {
+                    nearest.insert((p1.root, alpha, schema.rel(e1).name));
+                }
+            }
+        }
+        found
+            .iter()
+            .map(|p2| {
+                let Some((&e2, rest)) = p2.edges.split_last() else {
+                    return false;
+                };
+                if is_isa(e2) {
+                    return false;
+                }
+                let name = schema.rel(e2).name;
+                // `rest[alpha..]` is the Isa run `i_1 … i_k`, k ≥ 1.
+                (0..rest.len())
+                    .rev()
+                    .take_while(|&alpha| is_isa(rest[alpha]))
+                    .any(|alpha| nearest.contains(&(p2.root, &rest[..alpha], name)))
+            })
+            .collect()
+    };
+    let mut flags = preempted.into_iter();
+    found.retain(|_| !flags.next().expect("one flag per completion"));
 }
 
 #[cfg(test)]
@@ -155,6 +193,102 @@ mod tests {
         let p1 = walk(&s, "s", &["n"]);
         let p2 = walk(&s, "s", &["m", "n"]);
         assert!(!preempts(&s, &p1, &p2));
+    }
+
+    /// The pairwise definition the set-based filter must agree with.
+    fn pairwise_filter(schema: &Schema, found: &mut Vec<Completion>) {
+        let snapshot = found.clone();
+        found.retain(|p2| !snapshot.iter().any(|p1| preempts(schema, p1, p2)));
+    }
+
+    /// An `Isa` lattice with multiple inheritance (`k0 @> k1 @> k2` and
+    /// `k0 @> k3 @> k2`) whose levels redefine the same attribute names,
+    /// plus associations back into it, so random walks share prefixes,
+    /// climb `Isa` runs and end on shadowed names.
+    fn lattice_schema() -> Schema {
+        use ipe_schema::{Primitive, SchemaBuilder};
+        let mut b = SchemaBuilder::new();
+        let k: Vec<_> = (0..4).map(|i| b.class(&format!("k{i}")).unwrap()).collect();
+        let t = b.class("t").unwrap();
+        b.isa(k[0], k[1]).unwrap();
+        b.isa(k[1], k[2]).unwrap();
+        b.isa(k[0], k[3]).unwrap();
+        b.isa(k[3], k[2]).unwrap();
+        for &c in &k[1..] {
+            b.attr(c, "name", Primitive::Text).unwrap();
+        }
+        b.attr(t, "name", Primitive::Text).unwrap();
+        b.attr(k[0], "size", Primitive::Real).unwrap();
+        b.attr(k[2], "size", Primitive::Real).unwrap();
+        b.assoc(k[2], t, "owns").unwrap();
+        b.assoc(k[3], t, "uses").unwrap();
+        b.assoc(t, k[0], "pick").unwrap();
+        b.build().unwrap()
+    }
+
+    /// A walk from `root` that takes, at each step, the out-edge the
+    /// next choice selects; stops early at a class with no out-edges.
+    fn walk_by_choices(schema: &Schema, root: ClassId, choices: &[u8]) -> Completion {
+        let mut at = root;
+        let mut edges = Vec::new();
+        for &c in choices {
+            let out: Vec<_> = schema.out_rels(at).collect();
+            if out.is_empty() {
+                break;
+            }
+            let rel = out[c as usize % out.len()];
+            edges.push(rel.id);
+            at = rel.target;
+        }
+        Completion {
+            root,
+            edges,
+            label: Label::IDENTITY,
+        }
+    }
+
+    proptest::proptest! {
+        /// The set-based filter keeps exactly what the pairwise
+        /// definition keeps, in the same order, on random completion sets
+        /// over two roots. Walks extend shared trunks, so sets hold many
+        /// common prefixes and `Isa` runs of every length.
+        #[test]
+        fn set_filter_matches_pairwise_oracle(
+            trunks in proptest::collection::vec(
+                (0u8..2, proptest::collection::vec(0u8..8, 0..4)),
+                1..4,
+            ),
+            tails in proptest::collection::vec(
+                (0usize..4, proptest::collection::vec(0u8..8, 1..5)),
+                0..16,
+            ),
+        ) {
+            let s = lattice_schema();
+            let roots = [s.class_named("k0").unwrap(), s.class_named("t").unwrap()];
+            let mut found = Vec::new();
+            for (trunk, rest) in &tails {
+                let (r, head) = &trunks[trunk % trunks.len()];
+                let choices: Vec<u8> = head.iter().chain(rest).copied().collect();
+                found.push(walk_by_choices(&s, roots[*r as usize], &choices));
+            }
+            let mut want = found.clone();
+            pairwise_filter(&s, &mut want);
+            apply_inheritance_criterion(&s, &mut found);
+            proptest::prop_assert_eq!(found, want);
+        }
+    }
+
+    /// The oracle's sets do exercise preemption: from `k0`, `name` via
+    /// `k1` preempts `name` via `k1 @> k2`, and both hold an `Isa` run.
+    #[test]
+    fn lattice_schema_has_preempted_walks() {
+        let s = lattice_schema();
+        let near = walk(&s, "k0", &["k1", "name"]);
+        let far = walk(&s, "k0", &["k1", "k2", "name"]);
+        assert!(preempts(&s, &near, &far));
+        let mut found = vec![far, near.clone()];
+        apply_inheritance_criterion(&s, &mut found);
+        assert_eq!(found, vec![near]);
     }
 
     #[test]

@@ -138,6 +138,81 @@ fn indexed_and_unindexed_agree_with_exclusions() {
     }
 }
 
+/// A lazy index builds each goal table when a search first names it; the
+/// tables, and so the completions and every search counter, equal the
+/// eager index's — for every relationship name, from every class, and for
+/// a name no edge carries, which neither index has a table for.
+#[test]
+fn lazy_index_matches_eager_index() {
+    let churn = generate_schema(&GenConfig {
+        classes: 8,
+        hub_degree: 6,
+        seed: 51,
+        ..GenConfig::default()
+    });
+    let schemas = [
+        fixtures::university(),
+        generate_schema(&small_gen(3)).schema,
+        churn.schema,
+    ];
+    for schema in &schemas {
+        let eager: SearchIndex = Arc::new(IndexedSchema::build(schema, IndexMode::On));
+        let lazy: SearchIndex = Arc::new(IndexedSchema::build(schema, IndexMode::Lazy));
+        assert_eq!(lazy.goal_count(), 0);
+        let mut names: Vec<&str> = schema
+            .rels()
+            .map(|r| schema.name(schema.rel(r).name))
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        for e in [1, 3] {
+            let cfg = CompletionConfig::with_e(e);
+            let mut on = Completer::with_config(schema, cfg.clone());
+            assert!(on.attach_index(Arc::clone(&eager)));
+            let mut lz = Completer::with_config(schema, cfg);
+            assert!(lz.attach_index(Arc::clone(&lazy)));
+            for class in schema.classes().filter(|&c| !schema.is_primitive(c)) {
+                for name in &names {
+                    let expr = format!("{}~{name}", schema.class_name(class));
+                    let ast = parse_path_expression(&expr).unwrap();
+                    let a = on.complete_with_stats(&ast).unwrap();
+                    let b = lz.complete_with_stats(&ast).unwrap();
+                    assert_eq!(a.completions, b.completions, "e={e} {expr}");
+                    assert_eq!(a.stats, b.stats, "e={e} {expr}");
+                }
+            }
+        }
+        assert_eq!(lazy.goal_count(), eager.goal_count());
+        for name in &names {
+            let sym = schema.symbol(name).unwrap();
+            assert_eq!(lazy.goal_if_built(sym), eager.goal_if_built(sym), "{name}");
+        }
+
+        // A class name that no relationship carries: no table either way,
+        // and both engines refuse the query alike.
+        let uncarried = schema
+            .classes()
+            .filter_map(|c| schema.symbol(schema.class_name(c)))
+            .find(|&s| schema.rels_named(s).is_empty())
+            .expect("some class name is carried by no relationship");
+        assert!(eager.goal(schema, uncarried).is_none());
+        assert!(lazy.goal(schema, uncarried).is_none());
+        assert_eq!(lazy.goal_count(), eager.goal_count());
+        let root = schema.classes().find(|&c| !schema.is_primitive(c)).unwrap();
+        let expr = format!("{}~{}", schema.class_name(root), schema.name(uncarried));
+        let ast = parse_path_expression(&expr).unwrap();
+        let mut on = Completer::new(schema);
+        assert!(on.attach_index(Arc::clone(&eager)));
+        let mut lz = Completer::new(schema);
+        assert!(lz.attach_index(Arc::clone(&lazy)));
+        assert_eq!(
+            on.complete(&ast).unwrap_err().to_string(),
+            lz.complete(&ast).unwrap_err().to_string(),
+            "{expr}"
+        );
+    }
+}
+
 #[test]
 fn stale_index_is_rejected_by_attach() {
     let schema = fixtures::university();

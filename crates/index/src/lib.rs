@@ -30,11 +30,11 @@ use ipe_schema::{Schema, Symbol};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-/// How a service or CLI uses the index.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// How a service or CLI uses the index. The service's default is
+/// `ServiceConfig`'s to set; one-shot CLI runs default to `Off`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexMode {
     /// Build a goal table per relationship name eagerly.
-    #[default]
     On,
     /// Build goal tables on first use per name.
     Lazy,

@@ -94,12 +94,14 @@ pub struct ServiceConfig {
     /// WAL appends between snapshot compactions (0 = snapshot only on
     /// clean shutdown).
     pub snapshot_every: u64,
-    /// Search-index policy. `On` builds every schema's index (all goal
-    /// tables eagerly) in the background after a PUT and at recovery;
-    /// `Lazy` builds the closure matrices in the background but grows
-    /// goal tables on first use; `Off` disables indexing entirely.
-    /// Completions issued while a build is still running are served
-    /// unindexed — a PUT never waits for indexing.
+    /// Search-index policy. `Lazy` (the default) installs an index with
+    /// no goal tables, and a search builds the table of the name it
+    /// completes the first time a cache miss asks for it; such an index
+    /// writes no sidecar. `On` builds every relationship name's table in
+    /// the background after a PUT and at recovery, and with `data_dir`
+    /// persists them as a sidecar a restart loads. `Off` disables
+    /// indexing entirely. Completions issued before a PUT's index is
+    /// installed are served unindexed — a PUT never waits for indexing.
     pub index_mode: IndexMode,
     /// Head sampling for request tracing: record a span tree for 1 in N
     /// requests (1 = every request, 0 = tracing off). An unsampled
@@ -135,7 +137,7 @@ impl Default for ServiceConfig {
             data_dir: None,
             fsync: FsyncPolicy::Always,
             snapshot_every: 256,
-            index_mode: IndexMode::On,
+            index_mode: IndexMode::Lazy,
             trace_sample_n: 1,
             flight_capacity: 256,
             slow_ms: 500,
@@ -539,9 +541,9 @@ impl ServiceState {
 }
 
 /// Spawns a background thread that builds `entry`'s search index, installs
-/// it on the entry, and persists it as a store sidecar. Requests arriving
-/// while the build runs are served unindexed. A no-op with
-/// [`IndexMode::Off`].
+/// it on the entry, and (with [`IndexMode::On`]) persists it as a store
+/// sidecar. Requests arriving while the build runs are served unindexed. A
+/// no-op with [`IndexMode::Off`].
 pub(crate) fn spawn_index_build(state: &Arc<ServiceState>, entry: Arc<crate::SchemaEntry>) {
     if state.index_mode == IndexMode::Off {
         return;
@@ -575,15 +577,20 @@ pub(crate) fn spawn_index_build(state: &Arc<ServiceState>, entry: Arc<crate::Sch
     }
 }
 
-/// Writes a built index as a sidecar next to the WAL — unless the entry
-/// was hot-swapped while the build ran: the sidecar slot must only ever
-/// hold the registry's *current* generation, because a restart validates
-/// it against exactly that generation.
+/// Writes an eagerly built index as a sidecar next to the WAL — unless
+/// the entry was hot-swapped while the build ran: the sidecar slot must
+/// only ever hold the registry's *current* generation, because a restart
+/// validates it against exactly that generation. A `Lazy` index holds no
+/// goal tables when it is installed, so a restart would gain nothing from
+/// its sidecar and none is written.
 fn persist_index_sidecar(
     state: &Arc<ServiceState>,
     entry: &crate::SchemaEntry,
     index: &IndexedSchema,
 ) {
+    if state.index_mode != IndexMode::On {
+        return;
+    }
     let Some(dir) = &state.data_dir else {
         return;
     };
@@ -680,21 +687,33 @@ impl Server {
                 let entry = state
                     .registry
                     .restore(&key, record.id, record.generation, schema);
-                // Prefer the persisted index sidecar; any mismatch
-                // (missing, corrupt, stale generation) silently falls back
-                // to a fresh background build.
-                if state.index_mode != IndexMode::Off {
-                    let loaded = config.data_dir.as_ref().and_then(|dir| {
-                        let path = sidecar_path(dir, record.id);
-                        let bytes = read_sidecar(&path, record.id, record.generation)?;
-                        IndexedSchema::from_bytes(&bytes, &entry.schema).map(Arc::new)
-                    });
-                    let installed = loaded.map(|index| entry.set_index(index)).unwrap_or(false);
-                    if installed {
-                        state.counters.index.sidecar_loads.incr();
-                    } else {
-                        spawn_index_build(&state, entry);
+                match state.index_mode {
+                    // A lazy index is only the schema's out-edge offsets:
+                    // install it before serving, so no request after a
+                    // restart runs unindexed.
+                    IndexMode::Lazy => {
+                        let index = IndexedSchema::build(&entry.schema, IndexMode::Lazy);
+                        if entry.set_index(Arc::new(index)) {
+                            state.counters.index.builds_completed.incr();
+                        }
                     }
+                    // Prefer the persisted index sidecar; any mismatch
+                    // (missing, corrupt, stale generation) silently falls
+                    // back to a fresh background build.
+                    IndexMode::On => {
+                        let loaded = config.data_dir.as_ref().and_then(|dir| {
+                            let path = sidecar_path(dir, record.id);
+                            let bytes = read_sidecar(&path, record.id, record.generation)?;
+                            IndexedSchema::from_bytes(&bytes, &entry.schema).map(Arc::new)
+                        });
+                        let installed = loaded.map(|index| entry.set_index(index)).unwrap_or(false);
+                        if installed {
+                            state.counters.index.sidecar_loads.incr();
+                        } else {
+                            spawn_index_build(&state, entry);
+                        }
+                    }
+                    IndexMode::Off => {}
                 }
             }
             state.registry.reserve_ids(recovery.max_id);

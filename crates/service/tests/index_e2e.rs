@@ -1,10 +1,13 @@
 //! End-to-end tests of the service's background index builds:
-//! post-build requests report index hits in `/metrics`, and index
-//! sidecars are loaded on restart only when they match the schema's exact
-//! id and generation — stale or corrupt sidecars trigger a rebuild, never
-//! an error and never wrong bounds. (Completes issued inside the build
-//! window are tested in the crate's unit tests, which can hold a build.)
+//! post-build requests report index hits in `/metrics`, an eager (`on`)
+//! index's sidecar is loaded on restart only when it matches the schema's
+//! exact id and generation — stale or corrupt sidecars trigger a rebuild,
+//! never an error and never wrong bounds — and the default lazy index
+//! writes no sidecar yet serves every request after a restart indexed.
+//! (Completes issued inside the build window are tested in the crate's
+//! unit tests, which can hold a build.)
 
+use ipe_index::IndexMode;
 use ipe_schema::fixtures;
 use ipe_service::{Client, FsyncPolicy, Server, ServiceConfig};
 use serde::Value;
@@ -23,7 +26,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn server_with(data_dir: &Path) -> (Server, Client) {
+fn server_with(data_dir: &Path, index_mode: IndexMode) -> (Server, Client) {
     let server = Server::start(ServiceConfig {
         addr: "127.0.0.1:0".to_owned(),
         reactors: 2,
@@ -32,6 +35,7 @@ fn server_with(data_dir: &Path) -> (Server, Client) {
         data_dir: Some(data_dir.to_path_buf()),
         fsync: FsyncPolicy::Always,
         snapshot_every: 4,
+        index_mode,
         ..Default::default()
     })
     .expect("bind ephemeral port");
@@ -102,9 +106,10 @@ fn old_layout_index(payload: &[u8], class_count: usize) -> Vec<u8> {
     old
 }
 
-/// A sidecar written on one run is loaded on the next (skipping the
-/// rebuild), while a tampered, stale or old-layout sidecar silently
-/// degrades to a fresh background build with identical results.
+/// With the eager index, a sidecar written on one run is loaded on the
+/// next (skipping the rebuild), while a tampered, stale or old-layout
+/// sidecar silently degrades to a fresh background build with identical
+/// results.
 #[test]
 fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
     let dir = tmp_dir("sidecar");
@@ -115,7 +120,7 @@ fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
     let schema_id;
     let generation;
     {
-        let (server, mut client) = server_with(&dir);
+        let (server, mut client) = server_with(&dir, IndexMode::On);
         let (status, body) = client.request("PUT", "/v1/schemas/uni", &uni).unwrap();
         assert_eq!(status, 200, "{body}");
         let v = serde_json::parse_value_text(&body).unwrap();
@@ -133,7 +138,7 @@ fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
     // uncached complete is indexed from the first request.
     let before_restarts;
     {
-        let (server, mut client) = server_with(&dir);
+        let (server, mut client) = server_with(&dir, IndexMode::On);
         let m = index_metrics(&mut client);
         assert_eq!(as_u64(&get(&m, "sidecar_loads")), 1, "{m:?}");
         assert_eq!(as_u64(&get(&m, "builds_completed")), 0, "{m:?}");
@@ -156,7 +161,7 @@ fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
     // current one — rebuild instead.
     ipe_store::write_sidecar(&sidecar, schema_id, 999, b"whatever").unwrap();
     {
-        let (server, mut client) = server_with(&dir);
+        let (server, mut client) = server_with(&dir, IndexMode::On);
         let m = index_metrics(&mut client);
         assert_eq!(
             as_u64(&get(&m, "sidecar_loads")),
@@ -184,7 +189,7 @@ fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
     bytes[mid] ^= 0xFF;
     std::fs::write(&sidecar, &bytes).unwrap();
     {
-        let (server, mut client) = server_with(&dir);
+        let (server, mut client) = server_with(&dir, IndexMode::On);
         let m = index_metrics(&mut client);
         assert_eq!(as_u64(&get(&m, "sidecar_loads")), 0, "{m:?}");
         wait_for_index(&mut client, "rebuild after corrupt sidecar", |m| {
@@ -203,7 +208,7 @@ fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
     let old = old_layout_index(&payload, fixtures::university().class_count());
     ipe_store::write_sidecar(&sidecar, schema_id, generation, &old).unwrap();
     {
-        let (server, mut client) = server_with(&dir);
+        let (server, mut client) = server_with(&dir, IndexMode::On);
         let m = index_metrics(&mut client);
         assert_eq!(
             as_u64(&get(&m, "sidecar_loads")),
@@ -221,11 +226,51 @@ fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
 
     // DELETE removes the sidecar with the schema.
     {
-        let (server, mut client) = server_with(&dir);
+        let (server, mut client) = server_with(&dir, IndexMode::On);
         let (status, _) = client.request("DELETE", "/v1/schemas/uni", "").unwrap();
         assert_eq!(status, 200);
         assert!(!sidecar.exists(), "DELETE should remove the index sidecar");
         server.shutdown();
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The default lazy index writes no sidecar, and a restart installs it
+/// before serving: the same answer as before, and not one request served
+/// unindexed.
+#[test]
+fn default_lazy_index_writes_no_sidecar_and_serves_indexed_after_restart() {
+    let dir = tmp_dir("lazy");
+    let uni = fixtures::university().to_json();
+    let default_mode = ServiceConfig::default().index_mode;
+    assert_eq!(default_mode, IndexMode::Lazy);
+
+    let schema_id;
+    let before_restart;
+    {
+        let (server, mut client) = server_with(&dir, default_mode);
+        let (status, body) = client.request("PUT", "/v1/schemas/uni", &uni).unwrap();
+        assert_eq!(status, 200, "{body}");
+        schema_id = as_u64(&get(&serde_json::parse_value_text(&body).unwrap(), "id"));
+        let m = wait_for_index(&mut client, "lazy install", |m| {
+            as_u64(&get(m, "builds_completed")) >= 1
+        });
+        assert_eq!(get(&m, "mode"), Value::Str("lazy".to_owned()), "{m:?}");
+        before_restart = completions(&mut client, UNWARMED_COMPLETE);
+        server.shutdown();
+    }
+    let sidecar = ipe_store::sidecar_path(&dir, schema_id);
+    assert!(!sidecar.exists(), "a lazy index must write no sidecar");
+
+    {
+        let (server, mut client) = server_with(&dir, default_mode);
+        assert_eq!(completions(&mut client, UNWARMED_COMPLETE), before_restart);
+        let m = index_metrics(&mut client);
+        assert_eq!(as_u64(&get(&m, "sidecar_loads")), 0, "{m:?}");
+        assert!(as_u64(&get(&m, "completes_indexed")) >= 1, "{m:?}");
+        assert_eq!(as_u64(&get(&m, "completes_unindexed")), 0, "{m:?}");
+        server.shutdown();
+    }
+    assert!(!sidecar.exists(), "a restart must not write one either");
     std::fs::remove_dir_all(&dir).ok();
 }

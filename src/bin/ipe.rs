@@ -189,12 +189,14 @@ capacity/16 and the last capacity/8 errored requests (at least 1 each). Requests
 line per request to stderr. GET /metrics?format=prometheus serves the
 metrics in Prometheus text format.
 
---index controls the schema closure index. `serve` defaults to `on`:
-every PUT kicks off a background build (requests run unindexed until it
-lands), and with --data-dir the built index is persisted as a sidecar so
-a restart skips the rebuild. `lazy` defers per-name goal tables to first
-use; `off` disables indexing. One-shot `complete` defaults to `off`;
-pass --index on to see index pruning in --trace/--report output.
+--index controls the schema closure index. `serve` defaults to `lazy`:
+each PUT installs an index without goal tables (requests run unindexed
+until it lands), and a search builds the table of the name it completes
+on first use; no sidecar is written. `on` builds every name's table in
+the background after each PUT, and with --data-dir persists them as a
+sidecar so a restart skips the rebuild. `off` disables indexing.
+One-shot `complete` defaults to `off`; pass --index on to see index
+pruning in --trace/--report output.
 
 `query` disambiguates an incomplete expression at --e and evaluates the
 admitted completions against a database instance, merging the results
@@ -244,7 +246,8 @@ struct Opts {
     fsync: FsyncPolicy,
     snapshot_every: u64,
     /// `--index on|off|lazy`; `None` keeps the per-command default
-    /// (`serve` indexes eagerly, one-shot commands skip the build).
+    /// (`serve` takes [`ServiceConfig`]'s, `lazy`; one-shot commands skip
+    /// the build).
     index_mode: Option<IndexMode>,
     trace_sample_n: u64,
     slow_ms: u64,
@@ -702,7 +705,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         data_dir: opts.data_dir.clone().map(std::path::PathBuf::from),
         fsync: opts.fsync,
         snapshot_every: opts.snapshot_every,
-        index_mode: opts.index_mode.unwrap_or(IndexMode::On),
+        index_mode: opts
+            .index_mode
+            .unwrap_or(ServiceConfig::default().index_mode),
         trace_sample_n: opts.trace_sample_n,
         slow_ms: opts.slow_ms,
         flight_capacity: opts.flight_capacity,
