@@ -13,6 +13,7 @@ use ipe_index::{GoalTable, SearchIndex};
 use ipe_obs::{counter, Counter, EventKind, SearchTrace, SpanGuard};
 use ipe_parser::PathExprAst;
 use ipe_schema::{ClassId, RelId, Schema, Symbol};
+use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 /// Counters describing one completion run, mirroring the paper's Section
@@ -431,7 +432,7 @@ impl<'s> Completer<'s> {
             }
         }
         let labels: Vec<Label> = found.iter().map(|c| c.label).collect();
-        let keep = agg_star(&labels, self.config.e);
+        let keep: HashSet<Label> = agg_star(&labels, self.config.e).into_iter().collect();
         if trace.is_enabled() {
             for c in found.iter().filter(|c| !keep.contains(&c.label)) {
                 trace.record(observe::ev(
@@ -448,28 +449,33 @@ impl<'s> Completer<'s> {
         // reordering cannot change the result among full quality ties.
         if self.config.prefer_specific {
             // Deeper final-edge source class (more ancestors) first among
-            // otherwise equal keys.
-            let specificity = |c: &Completion| {
-                c.edges
-                    .last()
-                    .map(|&e| self.schema.ancestors(self.schema.rel(e).source).len())
-                    .unwrap_or(0)
-            };
-            found.sort_by(|a, b| {
+            // otherwise equal keys. `ancestors` is a BFS that allocates, so
+            // each completion's count is taken once, not per comparison.
+            let mut keyed: Vec<(usize, Completion)> = found
+                .into_iter()
+                .map(|c| {
+                    let depth = c.edges.last().map_or(0, |&e| {
+                        self.schema.ancestors(self.schema.rel(e).source).len()
+                    });
+                    (depth, c)
+                })
+                .collect();
+            keyed.sort_by(|(da, a), (db, b)| {
                 (
                     rank(a.label.connector),
                     a.label.semlen,
-                    std::cmp::Reverse(specificity(a)),
+                    std::cmp::Reverse(da),
                     a.edges.len(),
                 )
                     .cmp(&(
                         rank(b.label.connector),
                         b.label.semlen,
-                        std::cmp::Reverse(specificity(b)),
+                        std::cmp::Reverse(db),
                         b.edges.len(),
                     ))
                     .then_with(|| a.edges.cmp(&b.edges))
             });
+            found = keyed.into_iter().map(|(_, c)| c).collect();
         } else {
             found.sort_by(|a, b| {
                 (rank(a.label.connector), a.label.semlen, a.edges.len())

@@ -279,26 +279,6 @@ impl GoalTable {
         let i = v.index();
         &self.ordered_out[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
-
-    pub(crate) fn from_parts(
-        name: Symbol,
-        conn_mask: Vec<u16>,
-        semlen_by_first: Vec<[u16; 5]>,
-        ordered_out: Vec<RelId>,
-        offsets: OutOffsets,
-    ) -> GoalTable {
-        GoalTable {
-            name,
-            conn_mask,
-            semlen_by_first,
-            ordered_out,
-            offsets,
-        }
-    }
-
-    pub(crate) fn parts(&self) -> (&[u16], &[[u16; 5]]) {
-        (&self.conn_mask, &self.semlen_by_first)
-    }
 }
 
 /// Packs a (rank, semantic length) bound into one sortable key.
@@ -438,12 +418,15 @@ mod tests {
 
     /// The table of `name` laid out as the reference build lays it out.
     fn as_reference(schema: &Schema, table: &GoalTable) -> Reference {
-        let (conn_mask, semlen_by_first) = table.parts();
         let ordered_out = schema
             .classes()
             .map(|c| table.ordered_out(c).to_vec())
             .collect();
-        (conn_mask.to_vec(), semlen_by_first.to_vec(), ordered_out)
+        (
+            table.conn_mask.clone(),
+            table.semlen_by_first.clone(),
+            ordered_out,
+        )
     }
 
     /// Target names to check on `schema`: every relationship name, plus one

@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 mod goal;
-mod serial;
 mod tables;
 
 pub use goal::GoalTable;
@@ -109,7 +108,12 @@ impl IndexedSchema {
                 goals.insert(name, Arc::new(table));
             }
         }
-        IndexedSchema::from_parts(schema, offsets, goals)
+        IndexedSchema {
+            class_count: schema.class_count(),
+            rel_count: schema.rel_count(),
+            offsets,
+            goals: RwLock::new(goals),
+        }
     }
 
     /// Whether this index was built from a schema shaped like `schema`.
@@ -154,34 +158,6 @@ impl IndexedSchema {
     /// Number of goal tables currently built.
     pub fn goal_count(&self) -> usize {
         self.goals.read().expect("index poisoned").len()
-    }
-
-    fn from_parts(
-        schema: &Schema,
-        offsets: OutOffsets,
-        goals: HashMap<Symbol, Arc<GoalTable>>,
-    ) -> IndexedSchema {
-        IndexedSchema {
-            class_count: schema.class_count(),
-            rel_count: schema.rel_count(),
-            offsets,
-            goals: RwLock::new(goals),
-        }
-    }
-
-    /// Serializes the index (every built goal table).
-    /// See `serial` for the format; validated on load by
-    /// [`from_bytes`](IndexedSchema::from_bytes).
-    pub fn to_bytes(&self, schema: &Schema) -> Vec<u8> {
-        serial::to_bytes(self, schema)
-    }
-
-    /// Deserializes an index previously written by
-    /// [`to_bytes`](IndexedSchema::to_bytes), validating it against
-    /// `schema`. Returns `None` on any framing, size, or name mismatch —
-    /// callers treat that as "rebuild", never as an error.
-    pub fn from_bytes(bytes: &[u8], schema: &Schema) -> Option<IndexedSchema> {
-        serial::from_bytes(bytes, schema)
     }
 }
 

@@ -5,13 +5,18 @@
 //! a reload builds a fresh entry (same stable `id`, next `generation`) and
 //! swaps the map slot under a short write lock. Requests already running
 //! against the old `Arc` finish on the schema version they started with.
+//!
+//! Every entry is published with its search index already built, so no
+//! request ever sees an entry whose index is still to come. The index is
+//! built before the write lock is taken, under the [`IndexMode`] the
+//! registry was made with.
 
-use crate::sync::{read_recover, write_recover};
-use ipe_index::SearchIndex;
+use crate::sync::{read_recover, write_recover, Counter};
+use ipe_index::{IndexMode, IndexedSchema, SearchIndex};
 use ipe_schema::Schema;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// One registered schema version.
 #[derive(Debug)]
@@ -25,42 +30,14 @@ pub struct SchemaEntry {
     pub generation: u64,
     /// The immutable schema itself.
     pub schema: Arc<Schema>,
-    /// The search index for exactly this `(id, generation)`, installed by
-    /// a background build (or a sidecar load) after the entry is already
-    /// serving. Empty while the build runs — readers fall back to
-    /// unindexed search, so a PUT never blocks on indexing.
-    index: OnceLock<SearchIndex>,
+    /// The search index of exactly this schema, built before the entry
+    /// was published: the out-edge offsets under [`IndexMode::Lazy`]
+    /// (goal tables follow on first use), every goal table under
+    /// [`IndexMode::On`], and `None` under [`IndexMode::Off`].
+    pub index: Option<SearchIndex>,
 }
 
 impl SchemaEntry {
-    fn new(name: &str, id: u64, generation: u64, schema: Schema) -> SchemaEntry {
-        SchemaEntry {
-            name: name.to_owned(),
-            id,
-            generation,
-            schema: Arc::new(schema),
-            index: OnceLock::new(),
-        }
-    }
-
-    /// The entry's search index, once a build (or sidecar load) finished.
-    pub fn index(&self) -> Option<SearchIndex> {
-        self.index.get().cloned()
-    }
-
-    /// Installs a built index. First writer wins (a sidecar load and a
-    /// concurrent background build may race benignly); returns whether
-    /// this call installed it. Indexes that don't structurally match the
-    /// schema are refused — a stale sidecar must degrade to a rebuild,
-    /// never serve wrong bounds.
-    pub fn set_index(&self, index: SearchIndex) -> bool {
-        if !index.matches(&self.schema) {
-            ipe_obs::counter!("service.index.mismatch_refused", 1);
-            return false;
-        }
-        self.index.set(index).is_ok()
-    }
-
     /// The entry's summary row, under its registry name.
     pub(crate) fn info(&self) -> SchemaInfo {
         SchemaInfo {
@@ -89,28 +66,68 @@ pub struct SchemaInfo {
 }
 
 /// A concurrent map of named, versioned schemas.
-#[derive(Default)]
 pub struct SchemaRegistry {
     inner: RwLock<HashMap<String, Arc<SchemaEntry>>>,
     next_id: AtomicU64,
+    /// What each new entry's index holds (see [`SchemaEntry::index`]).
+    index_mode: IndexMode,
+    /// Indexes built, one per entry made under `On` or `Lazy`.
+    index_builds: Counter,
+}
+
+impl Default for SchemaRegistry {
+    fn default() -> Self {
+        SchemaRegistry::new()
+    }
 }
 
 impl SchemaRegistry {
-    /// An empty registry.
+    /// An empty registry whose entries carry no index.
     pub fn new() -> Self {
-        SchemaRegistry::default()
+        SchemaRegistry::with_index_mode(IndexMode::Off)
+    }
+
+    /// An empty registry that builds each entry's index under `mode`.
+    pub fn with_index_mode(index_mode: IndexMode) -> Self {
+        SchemaRegistry {
+            inner: RwLock::new(HashMap::new()),
+            next_id: AtomicU64::new(0),
+            index_mode,
+            index_builds: Counter::default(),
+        }
+    }
+
+    /// The index policy this registry was made with.
+    pub fn index_mode(&self) -> IndexMode {
+        self.index_mode
+    }
+
+    /// How many indexes this registry has built.
+    pub fn index_builds(&self) -> u64 {
+        self.index_builds.get()
+    }
+
+    /// Builds `schema`'s index under the registry's mode.
+    fn index(&self, schema: &Schema) -> Option<SearchIndex> {
+        (self.index_mode != IndexMode::Off).then(|| {
+            let _t = ipe_obs::timer!("service.index.build");
+            let index = Arc::new(IndexedSchema::build(schema, self.index_mode));
+            self.index_builds.incr();
+            index
+        })
     }
 
     /// Registers `schema` under `name`. A new name gets a fresh id and
     /// generation 1; an existing name keeps its id and bumps the
     /// generation (the hot-swap path). Returns the new entry.
     pub fn insert(&self, name: &str, schema: Schema) -> Arc<SchemaEntry> {
+        let index = self.index(&schema);
         let mut map = write_recover(&self.inner);
         let (id, generation) = match map.get(name) {
             Some(old) => (old.id, old.generation + 1),
             None => (self.next_id.fetch_add(1, Ordering::Relaxed) + 1, 1),
         };
-        let entry = Arc::new(SchemaEntry::new(name, id, generation, schema));
+        let entry = entry(name, id, generation, schema, index);
         map.insert(name.to_owned(), entry.clone());
         entry
     }
@@ -127,8 +144,9 @@ impl SchemaRegistry {
         generation: u64,
         schema: Schema,
     ) -> Arc<SchemaEntry> {
+        let index = self.index(&schema);
+        let entry = entry(name, id, generation, schema, index);
         self.next_id.fetch_max(id, Ordering::Relaxed);
-        let entry = Arc::new(SchemaEntry::new(name, id, generation, schema));
         write_recover(&self.inner).insert(name.to_owned(), entry.clone());
         entry
     }
@@ -158,6 +176,22 @@ impl SchemaRegistry {
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
     }
+}
+
+fn entry(
+    name: &str,
+    id: u64,
+    generation: u64,
+    schema: Schema,
+    index: Option<SearchIndex>,
+) -> Arc<SchemaEntry> {
+    Arc::new(SchemaEntry {
+        name: name.to_owned(),
+        id,
+        generation,
+        schema: Arc::new(schema),
+        index,
+    })
 }
 
 #[cfg(test)]
@@ -215,24 +249,33 @@ mod tests {
     }
 
     #[test]
-    fn index_install_is_first_writer_wins_and_checks_fit() {
-        use ipe_index::{IndexMode, IndexedSchema};
-        let reg = SchemaRegistry::new();
-        let entry = reg.insert("uni", fixtures::university());
-        assert!(entry.index().is_none(), "no index before a build finishes");
-        // A structurally different schema's index is refused.
-        let wrong = Arc::new(IndexedSchema::build(&fixtures::assembly(), IndexMode::Off));
-        assert!(!entry.set_index(wrong));
-        assert!(entry.index().is_none());
-        let right = Arc::new(IndexedSchema::build(&entry.schema, IndexMode::Off));
-        assert!(entry.set_index(Arc::clone(&right)));
-        assert!(entry.index().is_some());
-        // Second install (e.g. a racing sidecar load) is a no-op.
-        let again = Arc::new(IndexedSchema::build(&entry.schema, IndexMode::Off));
-        assert!(!entry.set_index(again));
-        // A hot-swap starts over with an un-indexed entry.
-        let swapped = reg.insert("uni", fixtures::university());
-        assert!(swapped.index().is_none());
+    fn every_entry_is_published_with_its_modes_index() {
+        let uni = fixtures::university();
+        let names: std::collections::HashSet<_> = uni.rels().map(|r| uni.rel(r).name).collect();
+        let plain = SchemaRegistry::new();
+        assert_eq!(plain.index_mode(), IndexMode::Off);
+        assert!(plain.insert("uni", uni.clone()).index.is_none());
+        assert_eq!(plain.index_builds(), 0);
+
+        let lazy = SchemaRegistry::with_index_mode(IndexMode::Lazy);
+        let first = lazy.insert("uni", uni.clone());
+        let index = first
+            .index
+            .as_ref()
+            .expect("a lazy entry carries its index");
+        assert!(index.matches(&first.schema));
+        assert_eq!(index.goal_count(), 0, "lazy: offsets only");
+        // A hot-swap and a restore each publish their own index.
+        let swapped = lazy.insert("uni", uni.clone());
+        let restored = lazy.restore("other", 9, 3, fixtures::assembly());
+        assert!(!Arc::ptr_eq(index, swapped.index.as_ref().unwrap()));
+        assert!(restored.index.as_ref().unwrap().matches(&restored.schema));
+        assert_eq!(lazy.index_builds(), 3);
+
+        let eager = SchemaRegistry::with_index_mode(IndexMode::On);
+        let entry = eager.insert("uni", uni);
+        assert_eq!(entry.index.as_ref().unwrap().goal_count(), names.len());
+        assert_eq!(eager.index_builds(), 1);
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! the same `restore()` path crash recovery uses (so a replica is always
 //! in a state the leader could have restarted from), and reconnects with
 //! exponential backoff, resuming from the last durably applied sequence
-//! number. Index sidecars are rebuilt off the apply path by the ordinary
-//! background build machinery.
+//! number. Each applied schema is published with its index already
+//! built, exactly as a local PUT is, so a follower never serves a schema
+//! unindexed.
 
-use crate::server::{push_reaped, spawn_index_build, ServiceState};
+use crate::server::{push_reaped, ServiceState};
 use crate::sync::{lock_recover, Counter};
 use ipe_repl::{Backoff, ClientError, ReplClient, ReplEvent, SubEvent, REPL_MAGIC};
 use ipe_schema::Schema;
@@ -412,7 +413,6 @@ fn install_snapshot(
             .registry
             .restore(&key, record.id, record.generation, schema);
         state.caches.purge_schema(&record.tenant, entry.id);
-        spawn_index_build(state, entry);
     }
     for info in state.registry.list() {
         let still_live = snap
@@ -466,7 +466,6 @@ fn apply_record(
             // Older generations' cached completions are keyed away already;
             // purging frees them eagerly, exactly as a local PUT does.
             state.caches.purge_schema(tenant, entry.id);
-            spawn_index_build(state, entry);
         }
         WalOp::Delete { tenant, name } => {
             state.drop_schema(&scoped_name(tenant, name));

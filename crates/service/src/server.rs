@@ -41,21 +41,20 @@ use crate::repl::FollowerStatus;
 use crate::sync::{lock_recover, recovered};
 use complete::MAX_BATCH_THREADS;
 use ipe_core::{complete_batch, BatchOptions, Completer, CompletionConfig};
-use ipe_index::{IndexMode, IndexedSchema};
+use ipe_index::IndexMode;
 use ipe_obs::{FlightConfig, FlightRecorder, SpanHandle};
 use ipe_parser::parse_path_expression;
 use ipe_repl::ReplHub;
 use ipe_schema::Schema;
 use ipe_store::{
-    read_sidecar, read_warmup, remove_sidecar, sidecar_path, write_sidecar, write_warmup,
-    FsyncPolicy, Store, StoreConfig, WalOp, WalRecord, WarmupEntry,
+    read_warmup, write_warmup, FsyncPolicy, Store, StoreConfig, WalOp, WalRecord, WarmupEntry,
 };
 use ipe_tenant::{scoped_name, split_scoped, TenantConfig, TenantRegistry, DEFAULT_TENANT};
-use ops::{IndexCounters, ServiceCounters};
+use ops::ServiceCounters;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 use std::thread::JoinHandle;
@@ -94,14 +93,15 @@ pub struct ServiceConfig {
     /// WAL appends between snapshot compactions (0 = snapshot only on
     /// clean shutdown).
     pub snapshot_every: u64,
-    /// Search-index policy. `Lazy` (the default) installs an index with
-    /// no goal tables, and a search builds the table of the name it
-    /// completes the first time a cache miss asks for it; such an index
-    /// writes no sidecar. `On` builds every relationship name's table in
-    /// the background after a PUT and at recovery, and with `data_dir`
-    /// persists them as a sidecar a restart loads. `Off` disables
-    /// indexing entirely. Completions issued before a PUT's index is
-    /// installed are served unindexed — a PUT never waits for indexing.
+    /// Search-index policy. Every schema write (PUT, recovery, and a
+    /// follower's apply) builds the new entry's index inline, before the
+    /// entry is published, so no request ever runs unindexed. `Lazy`
+    /// (the default) builds only the out-edge offsets, well under a
+    /// microsecond even at 92 classes, and a search builds the goal table
+    /// of the name it completes the first time a cache miss asks for it.
+    /// `On` builds every relationship name's table up front: about 50 µs
+    /// at 8 classes and 2.5 ms at 92. `Off` disables indexing entirely.
+    /// No index is persisted.
     pub index_mode: IndexMode,
     /// Head sampling for request tracing: record a span tree for 1 in N
     /// requests (1 = every request, 0 = tracing off). An unsampled
@@ -239,7 +239,7 @@ impl WarmupTracker {
 /// Adds `handle` to a list of background threads joined at shutdown,
 /// first joining (instantly) the threads that already finished: an
 /// unjoined finished thread keeps its stack mapped, so a list that only
-/// grew would leak one stack per schema upload or replication stream.
+/// grew would leak one stack per replication stream.
 pub(crate) fn push_reaped(
     threads: &Mutex<Vec<JoinHandle<()>>>,
     what: &str,
@@ -299,17 +299,8 @@ pub struct ServiceState {
     /// blocked in `epoll_wait` observes the flag immediately.
     wakers: Mutex<Vec<Arc<Wake>>>,
     bound_addr: OnceLock<SocketAddr>,
-    /// Index policy (see [`ServiceConfig::index_mode`]).
-    index_mode: IndexMode,
-    /// Sidecar directory; `Some` iff the server is durable.
-    pub(crate) data_dir: Option<PathBuf>,
-    /// Live background index-build threads, joined on shutdown so a
-    /// build's sidecar write never races the final snapshot.
-    index_builders: Mutex<Vec<JoinHandle<()>>>,
-    /// Holds background index builds while a test acts inside the build
-    /// window.
-    #[cfg(test)]
-    index_gate: tests::BuildGate,
+    /// The data directory; `Some` iff the server is durable.
+    data_dir: Option<PathBuf>,
     /// The flight recorder of completed request traces (see
     /// `GET /v1/debug/requests`).
     pub flight: FlightRecorder,
@@ -328,7 +319,7 @@ impl ServiceState {
             _ => None,
         };
         ServiceState {
-            registry: SchemaRegistry::new(),
+            registry: SchemaRegistry::with_index_mode(config.index_mode),
             caches: CachePartitions::new(config.cache_bytes),
             tenants: TenantRegistry::new(TenantConfig::default()),
             data: DataRegistry::new(),
@@ -341,21 +332,11 @@ impl ServiceState {
             repl_threads: Mutex::new(Vec::new()),
             warmup: track_warmup.then(WarmupTracker::new),
             batch_threads: config.batch_threads.clamp(1, MAX_BATCH_THREADS as usize),
-            counters: ServiceCounters {
-                index: IndexCounters {
-                    mode: config.index_mode.as_str(),
-                    ..IndexCounters::default()
-                },
-                ..ServiceCounters::default()
-            },
+            counters: ServiceCounters::default(),
             shutdown: AtomicBool::new(false),
             wakers: Mutex::new(Vec::new()),
             bound_addr: OnceLock::new(),
-            index_mode: config.index_mode,
             data_dir: config.data_dir.clone(),
-            index_builders: Mutex::new(Vec::new()),
-            #[cfg(test)]
-            index_gate: tests::BuildGate::default(),
             flight: FlightRecorder::new(FlightConfig {
                 capacity: config.flight_capacity,
                 shards: 8,
@@ -453,16 +434,13 @@ impl ServiceState {
     /// Removes the schema under registry key `key` and every local trace
     /// of it: cached completions, the loaded data instance (it was
     /// validated against this schema's generations, and leaving it behind
-    /// would serve a later same-name schema from a stale instance), and
-    /// the index sidecar (the id is never reissued). Returns the removed
-    /// entry, the purged cache entries, and whether data was loaded.
+    /// would serve a later same-name schema from a stale instance).
+    /// Returns the removed entry, the purged cache entries, and whether
+    /// data was loaded.
     pub(crate) fn drop_schema(&self, key: &str) -> Option<(Arc<crate::SchemaEntry>, u64, bool)> {
         let entry = self.registry.remove(key)?;
         let purged = self.caches.purge_schema(split_scoped(key).0, entry.id);
         let purged_data = self.data.remove(key).is_some();
-        if let Some(dir) = &self.data_dir {
-            let _ = remove_sidecar(dir, entry.id);
-        }
         Some((entry, purged, purged_data))
     }
 
@@ -540,77 +518,26 @@ impl ServiceState {
     }
 }
 
-/// Spawns a background thread that builds `entry`'s search index, installs
-/// it on the entry, and (with [`IndexMode::On`]) persists it as a store
-/// sidecar. Requests arriving while the build runs are served unindexed. A
-/// no-op with [`IndexMode::Off`].
-pub(crate) fn spawn_index_build(state: &Arc<ServiceState>, entry: Arc<crate::SchemaEntry>) {
-    if state.index_mode == IndexMode::Off {
-        return;
-    }
-    let counters = &state.counters.index;
-    counters.builds_in_flight.incr();
-    let st = Arc::clone(state);
-    let spawn = std::thread::Builder::new()
-        .name(format!("ipe-index-{}", entry.id))
-        .spawn(move || {
-            #[cfg(test)]
-            st.index_gate.pass();
-            let index = {
-                let _t = ipe_obs::timer!("service.index.build");
-                Arc::new(IndexedSchema::build(&entry.schema, st.index_mode))
-            };
-            if entry.set_index(Arc::clone(&index)) {
-                st.counters.index.builds_completed.incr();
-                persist_index_sidecar(&st, &entry, &index);
-            }
-            st.counters.index.builds_in_flight.decr();
-        });
-    match spawn {
-        Ok(handle) => push_reaped(&state.index_builders, "index builders", handle),
-        Err(e) => {
-            // Degrade to unindexed serving rather than failing the PUT.
-            counters.builds_in_flight.decr();
-            ipe_obs::counter!("service.index.spawn_failed", 1);
-            eprintln!("ipe-service: failed to spawn index build: {e}");
-        }
-    }
-}
-
-/// Writes an eagerly built index as a sidecar next to the WAL — unless
-/// the entry was hot-swapped while the build ran: the sidecar slot must
-/// only ever hold the registry's *current* generation, because a restart
-/// validates it against exactly that generation. A `Lazy` index holds no
-/// goal tables when it is installed, so a restart would gain nothing from
-/// its sidecar and none is written.
-fn persist_index_sidecar(
-    state: &Arc<ServiceState>,
-    entry: &crate::SchemaEntry,
-    index: &IndexedSchema,
-) {
-    if state.index_mode != IndexMode::On {
-        return;
-    }
-    let Some(dir) = &state.data_dir else {
+/// Removes the index sidecars (`index-<id>.idx`, and the `index-<id>.tmp`
+/// of an interrupted write) that older builds left in the data directory.
+/// No index is persisted: every entry builds its own when it is made, so
+/// nothing reads these files.
+fn remove_index_sidecars(dir: &Path) {
+    let Ok(files) = std::fs::read_dir(dir) else {
         return;
     };
-    let still_current = state
-        .registry
-        .get(&entry.name)
-        .is_some_and(|c| c.id == entry.id && c.generation == entry.generation);
-    if !still_current {
-        return;
-    }
-    let payload = index.to_bytes(&entry.schema);
-    if write_sidecar(
-        &sidecar_path(dir, entry.id),
-        entry.id,
-        entry.generation,
-        &payload,
-    )
-    .is_err()
-    {
-        ipe_obs::counter!("store.sidecar.write_failed", 1);
+    for file in files.flatten() {
+        let name = file.file_name();
+        let name = name.to_string_lossy();
+        let stem = name.strip_prefix("index-").and_then(|rest| {
+            rest.strip_suffix(".idx")
+                .or_else(|| rest.strip_suffix(".tmp"))
+        });
+        if stem.is_some_and(|id| id.parse::<u64>().is_ok())
+            && std::fs::remove_file(file.path()).is_ok()
+        {
+            ipe_obs::counter!("store.sidecar.removed", 1);
+        }
     }
 }
 
@@ -661,6 +588,7 @@ impl Server {
                 };
                 let (store, recovery) =
                     Store::open(&store_config).map_err(|e| io::Error::other(e.to_string()))?;
+                remove_index_sidecars(dir);
                 (Some(store), Some(recovery))
             }
         };
@@ -678,43 +606,15 @@ impl Server {
                 })?;
                 // Registry keys are tenant-scoped; a record whose tenant
                 // no longer exists in tenants.json still recovers (the
-                // WAL is authoritative for data, the sidecar only for
+                // WAL is authoritative for data, tenants.json only for
                 // quotas) under default quotas.
                 if record.tenant != DEFAULT_TENANT && state.tenants.get(&record.tenant).is_none() {
                     let _ = state.tenants.put(&record.tenant, TenantConfig::default());
                 }
                 let key = scoped_name(&record.tenant, &record.name);
-                let entry = state
+                state
                     .registry
                     .restore(&key, record.id, record.generation, schema);
-                match state.index_mode {
-                    // A lazy index is only the schema's out-edge offsets:
-                    // install it before serving, so no request after a
-                    // restart runs unindexed.
-                    IndexMode::Lazy => {
-                        let index = IndexedSchema::build(&entry.schema, IndexMode::Lazy);
-                        if entry.set_index(Arc::new(index)) {
-                            state.counters.index.builds_completed.incr();
-                        }
-                    }
-                    // Prefer the persisted index sidecar; any mismatch
-                    // (missing, corrupt, stale generation) silently falls
-                    // back to a fresh background build.
-                    IndexMode::On => {
-                        let loaded = config.data_dir.as_ref().and_then(|dir| {
-                            let path = sidecar_path(dir, record.id);
-                            let bytes = read_sidecar(&path, record.id, record.generation)?;
-                            IndexedSchema::from_bytes(&bytes, &entry.schema).map(Arc::new)
-                        });
-                        let installed = loaded.map(|index| entry.set_index(index)).unwrap_or(false);
-                        if installed {
-                            state.counters.index.sidecar_loads.incr();
-                        } else {
-                            spawn_index_build(&state, entry);
-                        }
-                    }
-                    IndexMode::Off => {}
-                }
             }
             state.registry.reserve_ids(recovery.max_id);
             if let Some(follower) = &state.follower {
@@ -813,19 +713,18 @@ impl Server {
         &self.state
     }
 
-    /// Registers a schema exactly as `PUT /v1/schemas/:name` would:
-    /// durable write-through (when configured) plus a background index
-    /// build. Embedders seeding schemas directly should use this rather
-    /// than [`ServiceState::register_schema`], which skips indexing.
+    /// Registers a schema under the `default` tenant exactly as
+    /// `PUT /v1/schemas/:name` would: the entry is published with its
+    /// index built (per [`ServiceConfig::index_mode`]) and, when the
+    /// server is durable, written through to the WAL. The same as
+    /// [`ServiceState::register_schema`].
     pub fn register_schema(
         &self,
         name: &str,
         schema: ipe_schema::Schema,
         json: &str,
     ) -> std::io::Result<Arc<crate::SchemaEntry>> {
-        let entry = self.state.register_schema(name, schema, json)?;
-        spawn_index_build(&self.state, Arc::clone(&entry));
-        Ok(entry)
+        self.state.register_schema(name, schema, json)
     }
 
     /// Blocks until the server has shut down (via [`Server::shutdown`]
@@ -851,13 +750,6 @@ impl Server {
         let repl: Vec<JoinHandle<()>> =
             std::mem::take(&mut *lock_recover(&self.state.repl_threads));
         for h in repl {
-            let _ = h.join();
-        }
-        // Let in-flight index builds finish so their sidecar writes land
-        // before the shutdown snapshot.
-        let builders: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *lock_recover(&self.state.index_builders));
-        for h in builders {
             let _ = h.join();
         }
         // Clean shutdown: compact once so the next boot replays a
@@ -934,45 +826,14 @@ mod tests {
     use ipe_schema::fixtures;
     use serde::Value;
     use std::sync::atomic::AtomicU64;
-    use std::sync::Condvar;
-    use std::time::Instant;
-
-    /// Holds background index builds until released, so a test can act
-    /// inside the build window without racing a timer. Open by default:
-    /// every other server a test starts builds unhindered.
-    #[derive(Default)]
-    pub(super) struct BuildGate {
-        held: Mutex<bool>,
-        released: Condvar,
-    }
-
-    impl BuildGate {
-        fn hold(&self) {
-            *lock_recover(&self.held) = true;
-        }
-
-        fn release(&self) {
-            *lock_recover(&self.held) = false;
-            self.released.notify_all();
-        }
-
-        /// Blocks the calling index build while the gate is held.
-        pub(super) fn pass(&self) {
-            let mut held = lock_recover(&self.held);
-            while *held {
-                held = self.released.wait(held).unwrap_or_else(recovered);
-            }
-        }
-    }
 
     /// `POST /v1/debug/panic`, routed only in test builds: panics while
-    /// holding the store, warmup, and builder locks — the failure mode
+    /// holding the store and warmup locks — the failure mode
     /// that once cascaded through `.expect("store poisoned")` and killed
     /// every later request.
     pub(super) fn handle_debug_panic(state: &ServiceState) -> dispatch::Handled {
         let _store = state.store.as_ref().map(lock_recover);
         let _warmup = state.warmup.as_ref().map(|w| w.inner.lock());
-        let _builders = lock_recover(&state.index_builders);
         panic!("injected panic (POST /v1/debug/panic)");
     }
 
@@ -1009,6 +870,7 @@ mod tests {
             .clone()
     }
 
+    #[cfg(not(feature = "obs-off"))]
     fn as_u64(v: &Value) -> u64 {
         match v {
             Value::I64(i) => *i as u64,
@@ -1023,14 +885,6 @@ mod tests {
             Value::Seq(items) => items.len(),
             other => panic!("expected completions array, got {other:?}"),
         }
-    }
-
-    /// The `service.index` section of `/metrics`.
-    fn index_metrics(client: &mut Client) -> Value {
-        let (status, body) = client.request("GET", "/metrics", "").unwrap();
-        assert_eq!(status, 200, "{body}");
-        let v = serde_json::parse_value_text(&body).unwrap();
-        get(&get(&v, "service"), "index")
     }
 
     fn counts(tracker: &WarmupTracker) -> Vec<(String, String, u64)> {
@@ -1092,83 +946,8 @@ mod tests {
         assert_eq!(tracker.top_k(1)[0].hits, 5);
     }
 
-    #[test]
-    fn finished_index_builders_are_reaped() {
-        let state = Arc::new(ServiceState::new(&ServiceConfig::default(), None));
-        let schema = ipe_schema::fixtures::university();
-        for _ in 0..50 {
-            let entry = state.register_schema("uni", schema.clone(), "{}").unwrap();
-            spawn_index_build(&state, entry);
-            let deadline = Instant::now() + Duration::from_secs(30);
-            while !lock_recover(&state.index_builders)
-                .iter()
-                .all(|h| h.is_finished())
-            {
-                assert!(Instant::now() < deadline, "an index build never finished");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        let held = lock_recover(&state.index_builders).len();
-        assert!(held <= 1, "{held} finished build threads still held");
-        assert_eq!(state.counters.index.builds_completed.get(), 50);
-    }
-
-    /// A complete issued while the background build is held must succeed
-    /// — served unindexed — and once the build lands, fresh requests must
-    /// count as indexed in `/metrics`.
-    #[test]
-    fn completes_succeed_during_build_window_then_hit_the_index() {
-        let (server, mut client) = start(test_config());
-        server.state().index_gate.hold();
-        let uni = fixtures::university().to_json();
-        let (status, body) = client.request("PUT", "/v1/schemas/uni", &uni).unwrap();
-        assert_eq!(status, 200, "{body}");
-
-        // Inside the build window: the complete succeeds without the index.
-        let (status, body) = client
-            .request(
-                "POST",
-                "/v1/complete",
-                r#"{"schema": "uni", "query": "ta~name"}"#,
-            )
-            .unwrap();
-        assert_eq!(status, 200, "complete during index build failed: {body}");
-        assert_eq!(completion_count(&body), 2, "{body}");
-        let m = index_metrics(&mut client);
-        assert!(
-            as_u64(&get(&m, "completes_unindexed")) >= 1,
-            "the in-window complete should have been unindexed: {m:?}"
-        );
-        assert_eq!(as_u64(&get(&m, "builds_completed")), 0, "{m:?}");
-
-        // After the build: a fresh (uncached) query reports an index hit.
-        server.state().index_gate.release();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while as_u64(&get(&index_metrics(&mut client), "builds_completed")) == 0 {
-            assert!(
-                Instant::now() < deadline,
-                "the background build never landed"
-            );
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        let (status, body) = client
-            .request(
-                "POST",
-                "/v1/complete",
-                r#"{"schema": "uni", "query": "student~name"}"#,
-            )
-            .unwrap();
-        assert_eq!(status, 200, "{body}");
-        let m = index_metrics(&mut client);
-        assert!(
-            as_u64(&get(&m, "completes_indexed")) >= 1,
-            "post-build complete should report an index hit: {m:?}"
-        );
-        server.shutdown();
-    }
-
-    /// A handler panic — injected while the store, warmup, and builder
-    /// locks are held — answers that request `500` and leaves the server
+    /// A handler panic — injected while the store and warmup locks are
+    /// held — answers that request `500` and leaves the server
     /// fully serviceable: the poisoned locks are recovered on next use
     /// instead of condemning every later request.
     #[test]
@@ -1234,7 +1013,7 @@ mod tests {
             let (status, body) = client.request("PUT", "/v1/schemas/before", &uni).unwrap();
             assert_eq!(status, 200, "{body}");
 
-            // Poison the store/warmup/builder locks mid-flight.
+            // Poison the store and warmup locks mid-flight.
             let (status, body) = client.request("POST", "/v1/debug/panic", "").unwrap();
             assert_eq!(status, 500, "{body}");
 

@@ -47,16 +47,16 @@ fn tenant_defaults(tcfg: &TenantConfig, e: &mut Option<u64>, pruning: &mut Optio
     }
 }
 
-/// An engine for one cache miss over `entry`, with the schema's index
-/// attached once its background build has landed. Counts the miss in
-/// `service.index` as indexed or not, and returns whether it is.
+/// An engine for one cache miss over `entry`, with the entry's index
+/// attached when it has one. Counts the miss in `service.index` as
+/// indexed or not, and returns whether it is.
 fn engine_for<'s>(
     state: &ServiceState,
     entry: &'s SchemaEntry,
     cfg: CompletionConfig,
 ) -> (Completer<'s>, bool) {
     let mut engine = Completer::with_config(&entry.schema, cfg);
-    let indexed = entry.index().is_some_and(|ix| engine.attach_index(ix));
+    let indexed = (entry.index.clone()).is_some_and(|ix| engine.attach_index(ix));
     let counters = &state.counters.index;
     if indexed {
         counters.completes_indexed.incr();

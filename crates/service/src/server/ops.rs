@@ -24,7 +24,9 @@ pub(crate) struct ServiceCounters {
     pub(crate) requests_total: Counter,
     /// Connections answered `503` at a reactor's live cap.
     pub(crate) rejected_total: Counter,
-    /// The `service.index` section.
+    /// The counts of the `service.index` section, reported through
+    /// [`IndexMetrics`].
+    #[serde(skip)]
     pub(crate) index: IndexCounters,
     /// Replication streams being served to followers. Reported as
     /// `repl.streams_active`, since only a leader serves streams.
@@ -32,18 +34,27 @@ pub(crate) struct ServiceCounters {
     pub(crate) repl_streams_active: Counter,
 }
 
-/// The `service.index` section of `GET /metrics`: the index policy, the
-/// background builds, and how engine-backed completions (cache misses)
-/// were served.
+/// How engine-backed completions (cache misses) were served: the counts
+/// of the `service.index` section.
 #[derive(Default, serde::Serialize)]
 pub(crate) struct IndexCounters {
-    /// `"on"`, `"lazy"`, or `"off"`.
-    pub(crate) mode: &'static str,
-    pub(crate) builds_completed: Counter,
-    pub(crate) builds_in_flight: Counter,
-    pub(crate) sidecar_loads: Counter,
     pub(crate) completes_indexed: Counter,
     pub(crate) completes_unindexed: Counter,
+}
+
+/// The `service.index` section of `GET /metrics`.
+#[derive(serde::Serialize)]
+struct IndexMetrics<'a> {
+    /// `"on"`, `"lazy"`, or `"off"`.
+    mode: &'static str,
+    /// Indexes built, one per registry entry made under `on` or `lazy`.
+    builds_completed: u64,
+    /// Always 0: each index is built before its entry is published.
+    builds_in_flight: u64,
+    /// Always 0: indexes are not persisted.
+    sidecar_loads: u64,
+    #[serde(flatten)]
+    counters: &'a IndexCounters,
 }
 
 /// One tenant's row in the `service.tenants` section of `GET /metrics`.
@@ -67,6 +78,7 @@ struct ServiceMetrics<'a> {
     tenants: Vec<TenantMetricsRow>,
     #[serde(flatten)]
     counters: &'a ServiceCounters,
+    index: IndexMetrics<'a>,
     workers: u64,
     schemas: u64,
     data_sets: u64,
@@ -104,6 +116,13 @@ impl ServiceState {
             cache: self.caches.stats(),
             tenants: self.tenant_metrics(),
             counters: &self.counters,
+            index: IndexMetrics {
+                mode: self.registry.index_mode().as_str(),
+                builds_completed: self.registry.index_builds(),
+                builds_in_flight: 0,
+                sidecar_loads: 0,
+                counters: &self.counters.index,
+            },
             workers: lock_recover(&self.wakers).len() as u64,
             schemas: self.registry.list().len() as u64,
             data_sets: self.data.len() as u64,

@@ -2,7 +2,7 @@
 //! `/v1/data/:schema`, each under the request's tenant.
 
 use super::dispatch::{body_text, decode, Handled, Reply, ReqObs};
-use super::{spawn_index_build, ServiceState};
+use super::ServiceState;
 use crate::api::{
     DataDeleteResponse, DataPutRequest, DataPutResponse, SchemaDeleteResponse, SchemaPutResponse,
 };
@@ -117,9 +117,6 @@ fn put_schema(state: &Arc<ServiceState>, req: &Request, tenant: &Tenant, name: &
     } else {
         0
     };
-    // Kick off the index build for the new generation; until it lands the
-    // entry serves unindexed.
-    spawn_index_build(state, Arc::clone(&entry));
     Ok(Reply::serialize(
         200,
         &SchemaPutResponse {

@@ -8,7 +8,7 @@ use super::ServiceState;
 use crate::http::Request;
 use crate::route::Verb;
 use crate::sync::lock_recover;
-use ipe_store::{remove_sidecar, WalOp, WalRecord};
+use ipe_store::{WalOp, WalRecord};
 use ipe_tenant::{split_scoped, Tenant, TenantConfig, TenantError};
 
 /// One tenant on the wire (`GET /v1/tenants`, `PUT /v1/tenants/:tenant`).
@@ -117,15 +117,16 @@ struct TenantDeleteResponse {
     purged_data: u64,
     purged_cache_entries: u64,
     purged_cache_bytes: u64,
+    /// Always 0: indexes are not persisted. Kept for wire compatibility.
     purged_sidecars: u64,
 }
 
 /// `DELETE /v1/tenants/:tenant`: removes the namespace and purges
 /// everything it owned — registry entries (each with a WAL delete, so
-/// followers converge), loaded data instances, index sidecars, and the
-/// whole cache partition. The store lock is held across the sweep so a
-/// racing PUT serializes against the purge instead of interleaving with
-/// it. `default` is immortal (`409`).
+/// followers converge), loaded data instances, and the whole cache
+/// partition. The store lock is held across the sweep so a racing PUT
+/// serializes against the purge instead of interleaving with it.
+/// `default` is immortal (`409`).
 fn delete_tenant(state: &ServiceState, name: &str) -> Handled {
     // Remove the tenant first: new requests 404 while the purge runs
     // (in-flight ones hold their own Arc and drain naturally).
@@ -139,22 +140,16 @@ fn delete_tenant(state: &ServiceState, name: &str) -> Handled {
         .collect();
     let mut purged_schemas = 0u64;
     let mut purged_data = 0u64;
-    let mut purged_sidecars = 0u64;
     let mut append_err: Option<String> = None;
     {
         let mut store_guard = state.store.as_ref().map(lock_recover);
         for key in &owned {
-            let Some(entry) = state.registry.remove(key) else {
+            if state.registry.remove(key).is_none() {
                 continue;
-            };
+            }
             purged_schemas += 1;
             if state.data.remove(key).is_some() {
                 purged_data += 1;
-            }
-            if let Some(dir) = &state.data_dir {
-                if remove_sidecar(dir, entry.id).is_ok() {
-                    purged_sidecars += 1;
-                }
             }
             if let Some(store) = store_guard.as_mut() {
                 let bare = split_scoped(key).1;
@@ -195,7 +190,7 @@ fn delete_tenant(state: &ServiceState, name: &str) -> Handled {
             purged_data,
             purged_cache_entries,
             purged_cache_bytes,
-            purged_sidecars,
+            purged_sidecars: 0,
         },
     ))
 }

@@ -16,7 +16,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockW
 /// One per-server count, shared across threads. It serializes as its
 /// current value, so a struct of counters is its own `/metrics` view.
 /// Every access is `SeqCst`, at least as strong as any ordering these
-/// counts used before (the index-build and stream gauges need it; on
+/// counts used before (the connection and stream gauges need it; on
 /// x86-64 a `SeqCst` increment is the same locked instruction as a
 /// relaxed one).
 #[derive(Debug, Default)]
@@ -33,7 +33,7 @@ impl Counter {
         self.0.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Subtracts one (gauges: live connections, builds in flight).
+    /// Subtracts one (gauges: live connections, replication streams).
     pub(crate) fn decr(&self) {
         self.0.fetch_sub(1, Ordering::SeqCst);
     }

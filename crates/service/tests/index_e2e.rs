@@ -1,11 +1,9 @@
-//! End-to-end tests of the service's background index builds:
-//! post-build requests report index hits in `/metrics`, an eager (`on`)
-//! index's sidecar is loaded on restart only when it matches the schema's
-//! exact id and generation — stale or corrupt sidecars trigger a rebuild,
-//! never an error and never wrong bounds — and the default lazy index
-//! writes no sidecar yet serves every request after a restart indexed.
-//! (Completes issued inside the build window are tested in the crate's
-//! unit tests, which can hold a build.)
+//! End-to-end tests of the service's search index: each schema write
+//! publishes its entry with the index already built, so `/metrics` counts
+//! every build by the time the PUT is answered and the very next cache
+//! miss is indexed, under `lazy` and `on` alike. Nothing is persisted: a
+//! restart builds every index again before serving, and removes the
+//! `index-<id>.idx` sidecars that older builds wrote.
 
 use ipe_index::IndexMode;
 use ipe_schema::fixtures;
@@ -13,7 +11,7 @@ use ipe_service::{Client, FsyncPolicy, Server, ServiceConfig};
 use serde::Value;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -65,22 +63,6 @@ fn index_metrics(client: &mut Client) -> Value {
     get(&get(&v, "service"), "index")
 }
 
-/// Polls `/metrics` until the index section satisfies `pred`, panicking
-/// after ten seconds.
-fn wait_for_index(client: &mut Client, what: &str, pred: impl Fn(&Value) -> bool) -> Value {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let m = index_metrics(client);
-        if pred(&m) {
-            return m;
-        }
-        if Instant::now() > deadline {
-            panic!("timed out waiting for {what}; last metrics: {m:?}");
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
 /// A `/v1/complete` body the startup cache warm-up never fills: it warms
 /// only the default configuration, and this one asks for `E = 3`.
 const UNWARMED_COMPLETE: &str = r#"{"schema": "uni", "query": "ta~name", "e": 3}"#;
@@ -95,143 +77,111 @@ fn completions(client: &mut Client, body: &str) -> Value {
     )
 }
 
-/// The `IPEIDX01` form of a current index payload: the same goal records
-/// behind the old magic and the old layout's two `n × n` `u16` class-pair
-/// matrices (here all `0xFFFF`).
-fn old_layout_index(payload: &[u8], class_count: usize) -> Vec<u8> {
-    let mut old = b"IPEIDX01".to_vec();
-    old.extend_from_slice(&payload[8..16]);
-    old.extend(vec![0xFF; 2 * class_count * class_count * 2]);
-    old.extend_from_slice(&payload[16..]);
-    old
+/// Where older builds kept the index sidecar of registry schema `id`.
+fn sidecar_path(dir: &Path, id: u64) -> PathBuf {
+    dir.join(format!("index-{id}.idx"))
 }
 
-/// With the eager index, a sidecar written on one run is loaded on the
-/// next (skipping the rebuild), while a tampered, stale or old-layout
-/// sidecar silently degrades to a fresh background build with identical
-/// results.
+/// `/v1/complete` of `query` against `schema` (a fresh cache key each
+/// time, so the reply comes from the engine).
+fn complete(client: &mut Client, schema: &str, query: &str) {
+    let body = format!(r#"{{"schema": "{schema}", "query": "{query}"}}"#);
+    let (status, reply) = client.request("POST", "/v1/complete", &body).unwrap();
+    assert_eq!(status, 200, "{reply}");
+}
+
+/// The `(completes_indexed, completes_unindexed)` counts.
+fn completes(m: &Value) -> (u64, u64) {
+    (
+        as_u64(&get(m, "completes_indexed")),
+        as_u64(&get(m, "completes_unindexed")),
+    )
+}
+
+/// Under every mode, `/metrics` read straight after N PUT replies counts
+/// exactly N builds (none under `off`) and none in flight, and an
+/// uncached complete sent straight after a PUT or a hot-swap is indexed.
 #[test]
-fn sidecar_roundtrip_and_stale_or_corrupt_fallback() {
+fn a_put_is_indexed_by_the_time_it_is_answered() {
+    let uni = fixtures::university().to_json();
+    let assembly = fixtures::assembly().to_json();
+    for mode in [IndexMode::Lazy, IndexMode::On, IndexMode::Off] {
+        let dir = tmp_dir("put");
+        let (server, mut client) = server_with(&dir, mode);
+        let indexed = mode != IndexMode::Off;
+        let puts = [("uni", &uni), ("asm", &assembly), ("uni", &uni)];
+        for (n, (name, json)) in puts.iter().enumerate() {
+            let path = format!("/v1/schemas/{name}");
+            let (status, body) = client.request("PUT", &path, json).unwrap();
+            assert_eq!(status, 200, "{body}");
+            let m = index_metrics(&mut client);
+            let want = if indexed { n as u64 + 1 } else { 0 };
+            assert_eq!(
+                as_u64(&get(&m, "builds_completed")),
+                want,
+                "{mode:?}: {m:?}"
+            );
+            assert_eq!(as_u64(&get(&m, "builds_in_flight")), 0, "{mode:?}: {m:?}");
+            assert_eq!(as_u64(&get(&m, "sidecar_loads")), 0, "{mode:?}: {m:?}");
+            assert_eq!(get(&m, "mode"), Value::Str(mode.as_str().to_owned()));
+        }
+        // The last PUT hot-swapped `uni` (generation 2); `asm` is fresh.
+        complete(&mut client, "uni", "ta~name");
+        complete(&mut client, "asm", "motor~diameter");
+        let m = index_metrics(&mut client);
+        let want = if indexed { (2, 0) } else { (0, 2) };
+        assert_eq!(completes(&m), want, "{mode:?}: {m:?}");
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A restart on a data directory that holds sidecars from an older build
+/// boots, ignores and removes them, and serves the same answers indexed
+/// from its first request. Under `on` every table is built again inline,
+/// and no run writes a sidecar, before or after a DELETE.
+#[test]
+fn restart_removes_old_sidecars_and_serves_indexed() {
     let dir = tmp_dir("sidecar");
     let uni = fixtures::university().to_json();
-
-    // Run A: PUT, wait for the build, shutdown (joins the builder so the
-    // sidecar write lands before exit).
     let schema_id;
-    let generation;
+    let before_restart;
     {
         let (server, mut client) = server_with(&dir, IndexMode::On);
         let (status, body) = client.request("PUT", "/v1/schemas/uni", &uni).unwrap();
         assert_eq!(status, 200, "{body}");
-        let v = serde_json::parse_value_text(&body).unwrap();
-        schema_id = as_u64(&get(&v, "id"));
-        generation = as_u64(&get(&v, "generation"));
-        wait_for_index(&mut client, "initial build", |m| {
-            as_u64(&get(m, "builds_completed")) >= 1
-        });
+        schema_id = as_u64(&get(&serde_json::parse_value_text(&body).unwrap(), "id"));
+        before_restart = completions(&mut client, UNWARMED_COMPLETE);
         server.shutdown();
     }
-    let sidecar = ipe_store::sidecar_path(&dir, schema_id);
-    assert!(sidecar.exists(), "build should have persisted a sidecar");
-
-    // Run B: restart loads the sidecar instead of rebuilding, and an
-    // uncached complete is indexed from the first request.
-    let before_restarts;
-    {
-        let (server, mut client) = server_with(&dir, IndexMode::On);
-        let m = index_metrics(&mut client);
-        assert_eq!(as_u64(&get(&m, "sidecar_loads")), 1, "{m:?}");
-        assert_eq!(as_u64(&get(&m, "builds_completed")), 0, "{m:?}");
-        let (status, body) = client
-            .request(
-                "POST",
-                "/v1/complete",
-                r#"{"schema": "uni", "query": "ta~name"}"#,
-            )
-            .unwrap();
-        assert_eq!(status, 200, "{body}");
-        let m = index_metrics(&mut client);
-        assert!(as_u64(&get(&m, "completes_indexed")) >= 1, "{m:?}");
-        before_restarts = completions(&mut client, UNWARMED_COMPLETE);
-        server.shutdown();
+    let sidecar = sidecar_path(&dir, schema_id);
+    assert!(!sidecar.exists(), "an `on` index must write no sidecar");
+    // What an older build could leave: a sidecar of this schema (here
+    // with a corrupt body), an interrupted write, and one of a schema
+    // deleted since. A file that only looks similar stays.
+    let interrupted = dir.join(format!("index-{schema_id}.tmp"));
+    let orphan = sidecar_path(&dir, schema_id + 7);
+    let unrelated = dir.join("index-notes.idx");
+    for file in [&sidecar, &interrupted, &orphan, &unrelated] {
+        std::fs::write(file, b"IPESIDE1 not an index").unwrap();
     }
-
-    // Run C: a sidecar tagged with a *different generation* (as if left
-    // behind by an older schema version) must not be loaded against the
-    // current one — rebuild instead.
-    ipe_store::write_sidecar(&sidecar, schema_id, 999, b"whatever").unwrap();
     {
         let (server, mut client) = server_with(&dir, IndexMode::On);
+        for file in [&sidecar, &interrupted, &orphan] {
+            assert!(!file.exists(), "{} was not removed", file.display());
+        }
+        assert!(unrelated.exists(), "a file that is no sidecar must stay");
         let m = index_metrics(&mut client);
-        assert_eq!(
-            as_u64(&get(&m, "sidecar_loads")),
-            0,
-            "a stale-generation sidecar must never be loaded: {m:?}"
-        );
-        wait_for_index(&mut client, "rebuild after stale sidecar", |m| {
-            as_u64(&get(m, "builds_completed")) >= 1
-        });
-        let (status, body) = client
-            .request(
-                "POST",
-                "/v1/complete",
-                r#"{"schema": "uni", "query": "department~take"}"#,
-            )
-            .unwrap();
-        assert_eq!(status, 200, "{body}");
-        server.shutdown();
-    }
-
-    // Run D: flip a byte in the (now freshly rewritten) sidecar; the
-    // checksum rejects it and the server rebuilds rather than erroring.
-    let mut bytes = std::fs::read(&sidecar).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xFF;
-    std::fs::write(&sidecar, &bytes).unwrap();
-    {
-        let (server, mut client) = server_with(&dir, IndexMode::On);
-        let m = index_metrics(&mut client);
+        assert_eq!(as_u64(&get(&m, "builds_completed")), 1, "{m:?}");
         assert_eq!(as_u64(&get(&m, "sidecar_loads")), 0, "{m:?}");
-        wait_for_index(&mut client, "rebuild after corrupt sidecar", |m| {
-            as_u64(&get(m, "builds_completed")) >= 1
-        });
-        let (status, _) = client.request("GET", "/v1/schemas/uni", "").unwrap();
-        assert_eq!(status, 200);
-        server.shutdown();
-    }
-
-    // Run E: a sidecar of the current generation with a valid checksum
-    // whose payload has the old index layout (`IPEIDX01`). The server
-    // starts, does not load it, rebuilds, and answers as before.
-    let payload = ipe_store::read_sidecar(&sidecar, schema_id, generation)
-        .expect("run D left a sidecar of the current generation");
-    let old = old_layout_index(&payload, fixtures::university().class_count());
-    ipe_store::write_sidecar(&sidecar, schema_id, generation, &old).unwrap();
-    {
-        let (server, mut client) = server_with(&dir, IndexMode::On);
+        assert_eq!(completions(&mut client, UNWARMED_COMPLETE), before_restart);
         let m = index_metrics(&mut client);
-        assert_eq!(
-            as_u64(&get(&m, "sidecar_loads")),
-            0,
-            "an old-layout sidecar must never be loaded: {m:?}"
-        );
-        wait_for_index(&mut client, "rebuild after old-layout sidecar", |m| {
-            as_u64(&get(m, "builds_completed")) >= 1
-        });
-        assert_eq!(completions(&mut client, UNWARMED_COMPLETE), before_restarts);
-        let m = index_metrics(&mut client);
-        assert!(as_u64(&get(&m, "completes_indexed")) >= 1, "{m:?}");
-        server.shutdown();
-    }
-
-    // DELETE removes the sidecar with the schema.
-    {
-        let (server, mut client) = server_with(&dir, IndexMode::On);
+        assert_eq!(completes(&m), (1, 0), "{m:?}");
         let (status, _) = client.request("DELETE", "/v1/schemas/uni", "").unwrap();
         assert_eq!(status, 200);
-        assert!(!sidecar.exists(), "DELETE should remove the index sidecar");
         server.shutdown();
     }
+    assert!(!sidecar.exists(), "no run may write a sidecar");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -252,14 +202,13 @@ fn default_lazy_index_writes_no_sidecar_and_serves_indexed_after_restart() {
         let (status, body) = client.request("PUT", "/v1/schemas/uni", &uni).unwrap();
         assert_eq!(status, 200, "{body}");
         schema_id = as_u64(&get(&serde_json::parse_value_text(&body).unwrap(), "id"));
-        let m = wait_for_index(&mut client, "lazy install", |m| {
-            as_u64(&get(m, "builds_completed")) >= 1
-        });
+        let m = index_metrics(&mut client);
+        assert_eq!(as_u64(&get(&m, "builds_completed")), 1, "{m:?}");
         assert_eq!(get(&m, "mode"), Value::Str("lazy".to_owned()), "{m:?}");
         before_restart = completions(&mut client, UNWARMED_COMPLETE);
         server.shutdown();
     }
-    let sidecar = ipe_store::sidecar_path(&dir, schema_id);
+    let sidecar = sidecar_path(&dir, schema_id);
     assert!(!sidecar.exists(), "a lazy index must write no sidecar");
 
     {

@@ -1,8 +1,9 @@
 //! End-to-end replication: one leader, two followers, all in-process.
 //! Covers convergence, generation-aware read routing, follower write
 //! rejection, readiness transitions, snapshot bootstrap behind the
-//! compaction horizon, delete propagation, and resume-from-persisted-seq
-//! after a follower restart.
+//! compaction horizon, delete propagation, resume-from-persisted-seq
+//! after a follower restart, and indexed reads on a freshly caught-up
+//! follower.
 
 use ipe_schema::fixtures;
 use ipe_service::{Client, FsyncPolicy, Server, ServiceConfig};
@@ -418,6 +419,72 @@ fn leader_and_standalone_report_ready() {
     assert_eq!(status, 400, "{body}");
 
     standalone.shutdown();
+    leader.shutdown();
+    std::fs::remove_dir_all(&leader_dir).ok();
+}
+
+/// A follower publishes each schema it applies with its index built, on
+/// the snapshot bootstrap and on the live tail alike: its first miss
+/// after catching up is indexed, and so is the first miss on a schema
+/// that arrived as a record.
+#[test]
+fn follower_first_miss_after_catch_up_is_indexed() {
+    let leader_dir = tmp_dir("index-leader");
+    let (leader, mut lc) = leader_server(&leader_dir, 2);
+    let uni = fixtures::university().to_json();
+    let assembly = fixtures::assembly().to_json();
+    for (name, json) in [("uni", &uni), ("asm", &assembly), ("uni", &uni)] {
+        let (status, body) = lc
+            .request("PUT", &format!("/v1/schemas/{name}"), json)
+            .unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+    let leader_seq = |lc: &mut Client| {
+        let (_, body) = lc.request("GET", "/v1/repl/status", "").unwrap();
+        as_u64(&get(
+            &serde_json::parse_value_text(&body).unwrap(),
+            "leader_seq",
+        ))
+    };
+    let (follower, mut fc) = follower_server(&leader.addr().to_string(), None);
+    let seq = leader_seq(&mut lc);
+    await_applied(&mut fc, seq);
+    let (_, body) = fc.request("GET", "/v1/repl/status", "").unwrap();
+    let v = serde_json::parse_value_text(&body).unwrap();
+    assert!(as_u64(&get(&v, "snapshots_installed")) >= 1, "{body}");
+    let index_counts = |fc: &mut Client| {
+        let (_, body) = fc.request("GET", "/metrics", "").unwrap();
+        let m = get(
+            &get(&serde_json::parse_value_text(&body).unwrap(), "service"),
+            "index",
+        );
+        assert_eq!(as_u64(&get(&m, "builds_in_flight")), 0, "{m:?}");
+        (
+            as_u64(&get(&m, "completes_indexed")),
+            as_u64(&get(&m, "completes_unindexed")),
+        )
+    };
+    let complete = |fc: &mut Client, body: &str| {
+        let (status, reply) = fc.request("POST", "/v1/complete", body).unwrap();
+        assert_eq!(status, 200, "{reply}");
+    };
+    complete(
+        &mut fc,
+        r#"{"schema": "uni", "query": "ta~name", "min_generation": 2}"#,
+    );
+    assert_eq!(index_counts(&mut fc), (1, 0));
+
+    // A record on the live tail: a hot-swap of `asm`.
+    lc.request("PUT", "/v1/schemas/asm", &assembly).unwrap();
+    let seq = leader_seq(&mut lc);
+    await_applied(&mut fc, seq);
+    complete(
+        &mut fc,
+        r#"{"schema": "asm", "query": "motor~diameter", "min_generation": 2}"#,
+    );
+    assert_eq!(index_counts(&mut fc), (2, 0));
+
+    follower.shutdown();
     leader.shutdown();
     std::fs::remove_dir_all(&leader_dir).ok();
 }

@@ -279,7 +279,7 @@ fn retry_envelopes_are_machine_readable() {
 }
 
 /// `DELETE /v1/tenants/:t` atomically purges everything the tenant owns —
-/// schemas, data instances, cache partition, index sidecars — reports the
+/// schemas, data instances, cache partition — reports the
 /// counts, and the purge survives a restart (the WAL carries the
 /// deletes). Other tenants' same-named schemas are untouched.
 #[test]

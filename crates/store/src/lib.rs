@@ -29,14 +29,12 @@
 #![warn(missing_docs)]
 
 pub mod crc;
-pub mod sidecar;
 pub mod snapshot;
 pub mod store;
 pub mod wal;
 pub mod warmup;
 
 pub use crc::crc32;
-pub use sidecar::{read_sidecar, remove_sidecar, sidecar_path, write_sidecar};
 pub use snapshot::{SchemaRecord, Snapshot};
 pub use store::{
     Appended, FsyncPolicy, Recovery, Store, StoreConfig, SNAPSHOT_FILE, WAL_FILE, WARMUP_FILE,

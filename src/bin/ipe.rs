@@ -189,12 +189,13 @@ capacity/16 and the last capacity/8 errored requests (at least 1 each). Requests
 line per request to stderr. GET /metrics?format=prometheus serves the
 metrics in Prometheus text format.
 
---index controls the schema closure index. `serve` defaults to `lazy`:
-each PUT installs an index without goal tables (requests run unindexed
-until it lands), and a search builds the table of the name it completes
-on first use; no sidecar is written. `on` builds every name's table in
-the background after each PUT, and with --data-dir persists them as a
-sidecar so a restart skips the rebuild. `off` disables indexing.
+--index controls the schema closure index. `serve` builds each schema's
+index before the PUT (or recovery, or replicated write) publishes it,
+so no request runs unindexed, and never persists it. The default,
+`lazy`, builds no goal tables up front (under 1 us per schema), and
+a search builds the table of the name it completes on first use. `on`
+builds every name's table with the schema (about 2.5 ms at 92
+classes). `off` disables indexing.
 One-shot `complete` defaults to `off`; pass --index on to see index
 pruning in --trace/--report output.
 
