@@ -82,39 +82,73 @@ pub fn agg_star(labels: &[Label], e: usize) -> Vec<Label> {
     out
 }
 
+/// Whether the values `lens` yields hold at least `e` distinct ones.
+///
+/// Allocation-free for `e` up to 16: `best` sets are `AGG*`-maintained and
+/// hold at most `E` distinct lengths, so a fixed inline scratch of the
+/// values seen so far suffices. A larger `e` counts through a sorted `Vec`.
+pub fn at_least_distinct(lens: impl IntoIterator<Item = u32>, e: usize) -> bool {
+    const SCRATCH: usize = 16;
+    if e > SCRATCH {
+        let mut all: Vec<u32> = lens.into_iter().collect();
+        all.sort_unstable();
+        all.dedup();
+        return all.len() >= e;
+    }
+    let mut seen = [0u32; SCRATCH];
+    let mut n = 0usize;
+    for len in lens {
+        if n >= e {
+            break;
+        }
+        if !seen[..n].contains(&len) {
+            seen[n] = len;
+            n += 1;
+        }
+    }
+    n >= e
+}
+
 /// Whether `candidate` would survive `AGG*({candidate} ∪ set, e)` — the
 /// membership test on lines (9) and (10) of the paper's Algorithm 2,
-/// without materializing the union.
+/// without materializing the union or allocating.
 pub fn survives_agg_star(candidate: &Label, set: &[Label], e: usize) -> bool {
     assert!(e >= 1, "AGG* requires E >= 1");
     let cr = rank(candidate.connector);
     if set.iter().any(|l| rank(l.connector) < cr) {
         return false;
     }
-    // Distinct semantic lengths strictly below the candidate's, among labels
-    // of the same (i.e. best) rank. The candidate survives when fewer than
-    // `e` such values exist.
-    let mut lens: Vec<u32> = set
-        .iter()
-        .filter(|l| rank(l.connector) == cr && l.semlen < candidate.semlen)
-        .map(|l| l.semlen)
-        .collect();
-    lens.sort_unstable();
-    lens.dedup();
-    lens.len() < e
+    // The candidate survives when fewer than `e` distinct semantic lengths
+    // lie strictly below its own among labels of its (i.e. the best) rank.
+    !at_least_distinct(
+        set.iter()
+            .filter(|l| rank(l.connector) == cr && l.semlen < candidate.semlen)
+            .map(|l| l.semlen),
+        e,
+    )
 }
 
 /// Folds `candidate` into an `AGG*`-maintained set in place; returns whether
 /// the candidate survived (`best[u] := AGG*({l_u} ∪ best[u])`, line 12).
+///
+/// `set` must already be `AGG*`-closed, as every set built only by this
+/// function is. Then one fold drops at most the labels of a worse rank and
+/// those of the one length pushed past the `e`-th.
 pub fn agg_star_into(set: &mut Vec<Label>, candidate: &Label, e: usize) -> bool {
     if !survives_agg_star(candidate, set, e) {
         ipe_obs::counter!("algebra.agg_star.dominated", 1);
         return false;
     }
-    if !set.contains(candidate) {
-        set.push(*candidate);
-        let filtered = agg_star(set, e);
-        *set = filtered;
+    if set.contains(candidate) {
+        return true;
+    }
+    // The candidate survived, so no stored label has a better rank.
+    let cr = rank(candidate.connector);
+    set.retain(|l| rank(l.connector) == cr);
+    set.push(*candidate);
+    if at_least_distinct(set.iter().map(|l| l.semlen), e + 1) {
+        let longest = set.iter().map(|l| l.semlen).max();
+        set.retain(|l| Some(l.semlen) != longest);
     }
     true
 }
@@ -123,6 +157,77 @@ pub fn agg_star_into(set: &mut Vec<Label>, candidate: &Label, e: usize) -> bool 
 mod tests {
     use super::*;
     use crate::moose::connector::RelKind;
+    use proptest::prelude::*;
+
+    /// The allocating [`survives_agg_star`] the inline scratch replaced,
+    /// kept as its oracle.
+    fn survives_oracle(candidate: &Label, set: &[Label], e: usize) -> bool {
+        let cr = rank(candidate.connector);
+        if set.iter().any(|l| rank(l.connector) < cr) {
+            return false;
+        }
+        let mut lens: Vec<u32> = set
+            .iter()
+            .filter(|l| rank(l.connector) == cr && l.semlen < candidate.semlen)
+            .map(|l| l.semlen)
+            .collect();
+        lens.sort_unstable();
+        lens.dedup();
+        lens.len() < e
+    }
+
+    /// The [`agg_star_into`] that refiltered a fresh set per survivor, kept
+    /// as the in-place fold's oracle.
+    fn agg_star_into_oracle(set: &mut Vec<Label>, candidate: &Label, e: usize) -> bool {
+        if !survives_oracle(candidate, set, e) {
+            return false;
+        }
+        if !set.contains(candidate) {
+            set.push(*candidate);
+            *set = agg_star(set, e);
+        }
+        true
+    }
+
+    fn arb_label() -> impl Strategy<Value = Label> {
+        let kinds = RelKind::ALL.len();
+        (
+            0usize..Connector::all().count(),
+            0u32..8,
+            0..kinds,
+            0..kinds,
+        )
+            .prop_map(|(c, semlen, first, last)| Label {
+                connector: Connector::all().nth(c).expect("in range"),
+                semlen,
+                first: Some(RelKind::ALL[first]),
+                last: Some(RelKind::ALL[last]),
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Folding a label stream in place keeps exactly the oracle's set,
+        /// in the oracle's order, and answers every membership test alike,
+        /// for `E` on both sides of the inline scratch's size.
+        #[test]
+        fn in_place_fold_matches_the_allocating_oracle(
+            stream in proptest::collection::vec(arb_label(), 0..40),
+            e in prop_oneof![1usize..6, 15usize..19],
+        ) {
+            let mut fast = Vec::new();
+            let mut oracle = Vec::new();
+            for l in &stream {
+                prop_assert_eq!(survives_agg_star(l, &fast, e), survives_oracle(l, &oracle, e));
+                prop_assert_eq!(
+                    agg_star_into(&mut fast, l, e),
+                    agg_star_into_oracle(&mut oracle, l, e)
+                );
+                prop_assert_eq!(&fast, &oracle);
+            }
+        }
+    }
 
     fn lbl(c: Connector, semlen: u32) -> Label {
         Label {

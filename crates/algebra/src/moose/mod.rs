@@ -23,7 +23,10 @@ mod con;
 mod connector;
 mod label;
 
-pub use agg::{agg_star, agg_star_into, better, dominates, incomparable, rank, survives_agg_star};
+pub use agg::{
+    agg_star, agg_star_into, at_least_distinct, better, dominates, incomparable, rank,
+    survives_agg_star,
+};
 pub use algebra::MooseAlgebra;
 pub use con::{caution_connectors, compose, in_caution_set};
 pub use connector::{Base, Connector, RelKind};

@@ -406,3 +406,166 @@ fn safe_search_is_order_independent_on_churn_schema() {
         assert_eq!(displays(&schema, &indexed, "c1~c5"), Ok(want), "e={e}");
     }
 }
+
+/// The texts of `expr`'s completions under `engine`.
+fn texts_of(schema: &Schema, engine: &Completer, expr: &str) -> Vec<String> {
+    displays(schema, engine, expr).unwrap_or_else(|e| vec![format!("error: {e}")])
+}
+
+/// Lazy-indexed Safe equals unindexed Safe on CUPID-calibrated schemas, at
+/// every `E` from 1 to 5, with and without the hubs excluded. These are the
+/// service's searches: long enough that the incumbent probe runs, several
+/// times in the longer ones. Four threads then run the same searches at
+/// once over one lazy index, each in its own order, so the goal-table
+/// cache is filled concurrently.
+#[test]
+fn lazy_indexed_safe_equals_unindexed_safe_on_cupid_fleets() {
+    for seed in [1994u64, 7] {
+        let gen = ipe_gen::cupid_like(seed);
+        let schema = &gen.schema;
+        let workload = generate_workload(
+            &gen,
+            &WorkloadConfig {
+                queries: 6,
+                seed: seed + 1,
+                ..Default::default()
+            },
+        );
+        let configs: Vec<CompletionConfig> = (1..=5)
+            .flat_map(|e| {
+                [Vec::new(), gen.hubs.clone()].map(|excluded_classes| CompletionConfig {
+                    e,
+                    excluded_classes,
+                    ..Default::default()
+                })
+            })
+            .collect();
+        let mut want = Vec::new();
+        let mut probed = 0;
+        for cfg in &configs {
+            let plain = Completer::with_config(schema, cfg.clone());
+            for q in &workload {
+                want.push(texts_of(schema, &plain, &q.expr));
+            }
+        }
+        let lazy: SearchIndex = Arc::new(IndexedSchema::build(schema, IndexMode::Lazy));
+        let mut at = 0;
+        for cfg in &configs {
+            let mut indexed = Completer::with_config(schema, cfg.clone());
+            assert!(indexed.attach_index(Arc::clone(&lazy)));
+            for q in &workload {
+                let out = indexed.complete_with_stats(&q.ast()).unwrap();
+                probed += usize::from(out.stats.calls > 128);
+                let got: Vec<String> = out
+                    .completions
+                    .iter()
+                    .map(|c| c.display(schema).to_string())
+                    .collect();
+                assert_eq!(got, want[at], "seed={seed} e={} {}", cfg.e, q.expr);
+                at += 1;
+            }
+        }
+        assert!(probed > 0, "no search ran long enough to probe");
+
+        let shared: SearchIndex = Arc::new(IndexedSchema::build(schema, IndexMode::Lazy));
+        std::thread::scope(|scope| {
+            for t in 0..4usize {
+                let (shared, configs, workload, want) = (&shared, &configs, &workload, &want);
+                scope.spawn(move || {
+                    let n = configs.len() * workload.len();
+                    for k in 0..n {
+                        let at = (k * 7 + t * 13) % n;
+                        let cfg = &configs[at / workload.len()];
+                        let q = &workload[at % workload.len()];
+                        let mut indexed = Completer::with_config(schema, cfg.clone());
+                        assert!(indexed.attach_index(Arc::clone(shared)));
+                        assert_eq!(texts_of(schema, &indexed, &q.expr), want[at], "{}", q.expr);
+                    }
+                });
+            }
+        });
+    }
+}
+
+/// Adds an `Isa` edge from every class that already has a superclass to a
+/// class without one, so the schema has multiple inheritance. The new
+/// superclass has no `Isa` out-edge, so no `Isa` cycle can form.
+fn with_second_superclasses(schema: &Schema, seed: u64) -> Schema {
+    let roots: Vec<_> = schema
+        .classes()
+        .filter(|&c| !schema.is_primitive(c) && schema.isa_parents(c).next().is_none())
+        .collect();
+    let mut doc = SchemaDoc::from_schema(schema);
+    for (k, class) in schema.classes().enumerate() {
+        let parents: Vec<_> = schema.isa_parents(class).map(|(_, p)| p).collect();
+        if parents.is_empty() {
+            continue;
+        }
+        let pick = (seed ^ k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        let sup = roots[pick as usize % roots.len()];
+        if parents.contains(&sup) {
+            continue;
+        }
+        let mut isa = doc.rels[0].clone();
+        isa.source = schema.class_name(class).to_owned();
+        isa.target = schema.class_name(sup).to_owned();
+        isa.kind = RelKind::Isa;
+        isa.name = format!("mi_sup{k}");
+        isa.inverse_name = Some(format!("mi_sub{k}"));
+        doc.rels.push(isa);
+    }
+    let schema = doc.into_schema().expect("a second superclass is valid");
+    assert!(
+        schema.classes().any(|c| schema.isa_parents(c).count() > 1),
+        "the schema has multiple inheritance"
+    );
+    schema
+}
+
+/// Lazy-indexed Safe equals the exhaustive oracle on small generated DAGs
+/// with multiple inheritance: every anchor, every relationship name, and
+/// `E` up to 3.
+#[test]
+fn lazy_indexed_safe_matches_the_oracle_with_multiple_inheritance() {
+    let mut probed = 0;
+    for seed in 0..3u64 {
+        let gen = generate_schema(&GenConfig {
+            classes: 14,
+            tree_roots: 2,
+            assoc_edges: 3,
+            hubs: 1,
+            hub_degree: 4,
+            seed,
+            ..GenConfig::default()
+        });
+        let schema = with_second_superclasses(&gen.schema, seed);
+        let lazy: SearchIndex = Arc::new(IndexedSchema::build(&schema, IndexMode::Lazy));
+        let mut names: Vec<&str> = schema
+            .rels()
+            .map(|r| schema.name(schema.rel(r).name))
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        for e in 1..=3 {
+            let cfg = CompletionConfig {
+                e,
+                ..Default::default()
+            };
+            let mut indexed = Completer::with_config(&schema, cfg.clone());
+            assert!(indexed.attach_index(Arc::clone(&lazy)));
+            for class in schema.classes().filter(|&c| !schema.is_primitive(c)) {
+                for &name in &names {
+                    let expr = format!("{}~{name}", schema.class_name(class));
+                    let ast = parse_path_expression(&expr).unwrap();
+                    let out = indexed.complete_with_stats(&ast).unwrap();
+                    probed += usize::from(out.stats.calls > 128);
+                    let want = exhaustive::optimal_via_enumeration(&schema, class, name, &cfg)
+                        .unwrap()
+                        .completions;
+                    assert_eq!(out.completions, want, "seed={seed} e={e} {expr}");
+                }
+            }
+        }
+    }
+    assert!(probed > 0, "no search ran long enough to probe");
+}

@@ -1,8 +1,8 @@
 //! Per-name goal tables: for a fixed target relationship name `N`, every
 //! class gets (a) the set of connectors achievable by walks from it that
 //! end with an `N`-edge, (b) the minimum achievable semantic length of such
-//! a walk per reduced first-edge kind, and (c) its out-relationships
-//! ordered best-bound-first.
+//! a walk per reduced first-edge kind, (c) its out-relationships ordered
+//! best-bound-first, and (d) its out-edge named `N`, if it has one.
 //!
 //! ## Admissibility
 //!
@@ -64,7 +64,15 @@ pub struct GoalTable {
     ordered_out: Vec<RelId>,
     /// Where each class's group starts in `ordered_out`.
     offsets: OutOffsets,
+    /// Per class: the index of its out-edge named `name`, or
+    /// [`NO_GOAL_EDGE`]. A schema gives a class at most one out-edge of a
+    /// name, so one slot holds it.
+    goal_edge: Vec<u32>,
 }
+
+/// Sentinel of [`GoalTable`]'s `goal_edge` slot: the class has no out-edge
+/// named `N`.
+const NO_GOAL_EDGE: u32 = u32::MAX;
 
 impl GoalTable {
     /// Builds the table for target name `name` over `schema`.
@@ -84,10 +92,12 @@ impl GoalTable {
         let mut conn_mask = vec![0u16; n];
         let mut queued = vec![false; n];
         let mut worklist: Vec<usize> = Vec::new();
+        let mut goal_edge = vec![NO_GOAL_EDGE; n];
         for &rid in schema.rels_named(name) {
             let rel = schema.rel(rid);
             let bit = 1u16 << conn_index(rel.kind.connector());
             let s = rel.source.index();
+            goal_edge[s] = rid.0 .0;
             if conn_mask[s] & bit == 0 {
                 conn_mask[s] |= bit;
                 if !queued[s] {
@@ -215,6 +225,7 @@ impl GoalTable {
             semlen_by_first,
             ordered_out,
             offsets,
+            goal_edge,
         }
     }
 
@@ -278,6 +289,12 @@ impl GoalTable {
     pub fn ordered_out(&self, v: ClassId) -> &[RelId] {
         let i = v.index();
         &self.ordered_out[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The out-edge of `v` named by the table's target, if `v` has one.
+    pub fn goal_edge(&self, v: ClassId) -> Option<RelId> {
+        let id = self.goal_edge[v.index()];
+        (id != NO_GOAL_EDGE).then_some(RelId(EdgeId(id)))
     }
 }
 
@@ -555,6 +572,27 @@ mod tests {
                     a.sort();
                     b.sort();
                     assert_eq!(a, b, "class {}", schema.class_name(class));
+                }
+            }
+        }
+    }
+
+    /// The goal-edge slot holds exactly the class's out-edge of the name.
+    #[test]
+    fn goal_edge_is_the_out_edge_of_the_name() {
+        let mut schemas = vec![fixtures::university(), fixtures::assembly()];
+        schemas.extend((0..3).map(|shape| generated(shape, 7)));
+        for schema in &schemas {
+            for name in target_names(schema) {
+                let table = GoalTable::build(schema, name);
+                for class in schema.classes() {
+                    assert_eq!(
+                        table.goal_edge(class),
+                        schema.out_rel_named(class, name).map(|r| r.id),
+                        "class {} name {}",
+                        schema.class_name(class),
+                        schema.name(name)
+                    );
                 }
             }
         }

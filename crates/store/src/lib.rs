@@ -55,6 +55,11 @@ pub enum StoreError {
     /// Recovery refuses to guess: a partially-recovered registry must be
     /// detectable, not silent.
     Corrupt(&'static str),
+    /// An earlier fsync of the WAL failed, or a failed append could not be
+    /// cut back off, so what the log holds on disk is unknown. The store
+    /// refuses every append until it is reopened, and recovery then reads
+    /// what the disk really holds.
+    Poisoned,
 }
 
 impl fmt::Display for StoreError {
@@ -62,6 +67,12 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "store I/O error: {e}"),
             StoreError::Corrupt(msg) => write!(f, "store corruption: {msg}"),
+            StoreError::Poisoned => {
+                write!(
+                    f,
+                    "store refuses writes after a failed WAL write or fsync; restart to recover"
+                )
+            }
         }
     }
 }
@@ -70,7 +81,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
-            StoreError::Corrupt(_) => None,
+            StoreError::Corrupt(_) | StoreError::Poisoned => None,
         }
     }
 }
